@@ -7,6 +7,7 @@ from .assembly import (
     AdmissibleParameter,
     apply_L,
     apply_Lt,
+    assemble_L,
     assemble_load,
     assemble_mass,
     assemble_perturbed_stiffness,

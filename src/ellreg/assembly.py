@@ -12,7 +12,7 @@ the operator-noise proximity bound with constant max|a|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,13 +34,11 @@ del _k, _i, _j, s
 
 @dataclass
 class AdmissibleParameter:
-    """Coefficient vector with box bounds and a (smoothed) TV cap."""
+    """Coefficient vector with box bounds."""
 
     A: np.ndarray
     c1: float = 0.1
     c2: float = 10.0
-    c3: float = np.inf
-    tv_beta: float = 1e-6
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
@@ -50,19 +48,10 @@ class AdmissibleParameter:
     def in_box(self) -> bool:
         return bool(np.all(self.A >= self.c1) and np.all(self.A <= self.c2))
 
-    def tv_ok(self, mesh: Mesh) -> bool:
-        return smoothed_tv(mesh, self.A, self.tv_beta) <= self.c3
 
-
-def _accumulate(mesh: Mesh, elem: np.ndarray) -> sp.csr_matrix:
-    """Scatter (T, 3, 3) element blocks into a CSR matrix."""
-    tris = mesh.triangles
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    n = mesh.node_count
-    mat = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    mat.sum_duplicates()
-    return mat
+def _grad_products(mesh: Mesh) -> np.ndarray:
+    """(T, 3, 3) products grad(phi_i).grad(phi_j) of each triangle's basis functions."""
+    return np.einsum("tid,tjd->tij", mesh.grads, mesh.grads)
 
 
 def assemble_stiffness(mesh: Mesh, A: np.ndarray) -> sp.csr_matrix:
@@ -71,20 +60,20 @@ def assemble_stiffness(mesh: Mesh, A: np.ndarray) -> sp.csr_matrix:
     if A.shape != (mesh.node_count,):
         raise ValueError("coefficient vector does not match the mesh")
     mean_a = A[mesh.triangles].mean(axis=1)
-    gg = np.einsum("tid,tjd->tij", mesh.grads, mesh.grads)
+    gg = mesh.cached("grad_products", _grad_products)
     elem = (mesh.areas * mean_a)[:, None, None] * gg
     # rewrite each element diagonal as the negative off-diagonal sum so the
     # element matrices annihilate constants exactly, not just to roundoff
     for i in range(3):
         elem[:, i, i] = -(elem[:, i, (i + 1) % 3] + elem[:, i, (i + 2) % 3])
-    return _accumulate(mesh, elem)
+    return mesh.scatter_csr(elem)
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Plain P1 mass matrix M_ij = int phi_i phi_j."""
     base = (np.ones((3, 3)) + np.eye(3)) / 12.0
     elem = mesh.areas[:, None, None] * base
-    return _accumulate(mesh, elem)
+    return mesh.scatter_csr(elem)
 
 
 def assemble_weighted_mass(mesh: Mesh, A: np.ndarray) -> sp.csr_matrix:
@@ -94,7 +83,7 @@ def assemble_weighted_mass(mesh: Mesh, A: np.ndarray) -> sp.csr_matrix:
         raise ValueError("coefficient vector does not match the mesh")
     At = A[mesh.triangles]
     elem = np.einsum("kij,tk->tij", _C3, At) * (mesh.areas / 60.0)[:, None, None]
-    return _accumulate(mesh, elem)
+    return mesh.scatter_csr(elem)
 
 
 def assemble_perturbed_stiffness(mesh: Mesh, A: np.ndarray, tau: float) -> sp.csr_matrix:
@@ -111,6 +100,16 @@ def assemble_s_matrix(mesh: Mesh) -> sp.csr_matrix:
     """W_ij = S(phi_i, phi_j) with S the full H1 inner product (coercive, alpha0=1)."""
     ones = np.ones(mesh.node_count)
     return (assemble_stiffness(mesh, ones) + assemble_mass(mesh)).tocsr()
+
+
+def shared_mass(mesh: Mesh) -> sp.csr_matrix:
+    """The mesh's mass matrix M, assembled once per mesh and read-only."""
+    return mesh.cached("mass", assemble_mass)
+
+
+def shared_s_matrix(mesh: Mesh) -> sp.csr_matrix:
+    """The mesh's H1 Gram matrix W, assembled once per mesh and read-only."""
+    return mesh.cached("s_matrix", assemble_s_matrix)
 
 
 def assemble_load(mesh: Mesh, f=None, g=None) -> np.ndarray:
@@ -133,7 +132,7 @@ def assemble_load(mesh: Mesh, f=None, g=None) -> np.ndarray:
         contrib[:, 0] = w * (fv[:, 0] + fv[:, 2])
         contrib[:, 1] = w * (fv[:, 0] + fv[:, 1])
         contrib[:, 2] = w * (fv[:, 1] + fv[:, 2])
-        np.add.at(P, mesh.triangles, contrib)
+        P += mesh.scatter_add(mesh.triangles, contrib)
     if g is not None:
         a = mesh.nodes[mesh.boundary_edges[:, 0]]
         b = mesh.nodes[mesh.boundary_edges[:, 1]]
@@ -142,56 +141,53 @@ def assemble_load(mesh: Mesh, f=None, g=None) -> np.ndarray:
         ga = np.broadcast_to(np.asarray(g(a[:, 0], a[:, 1]), dtype=float), length.shape)
         gb = np.broadcast_to(np.asarray(g(b[:, 0], b[:, 1]), dtype=float), length.shape)
         gm = np.broadcast_to(np.asarray(g(mid[:, 0], mid[:, 1]), dtype=float), length.shape)
-        np.add.at(P, mesh.boundary_edges[:, 0], length / 6.0 * (ga + 2.0 * gm))
-        np.add.at(P, mesh.boundary_edges[:, 1], length / 6.0 * (gb + 2.0 * gm))
+        ends = np.column_stack([ga + 2.0 * gm, gb + 2.0 * gm]) * (length / 6.0)[:, None]
+        P += mesh.scatter_add(mesh.boundary_edges, ends)
     return P
 
 
-def apply_L(mesh: Mesh, V: np.ndarray, A: np.ndarray, tau: float = 0.0) -> np.ndarray:
-    """Matrix-free K_tau(A) V, assembled per element without forming K_tau(A)."""
+def assemble_L(mesh: Mesh, V: np.ndarray, tau: float = 0.0) -> sp.csr_matrix:
+    """The tensor L(V) as an N x N matrix: L(V) @ dA = K_tau(dA) @ V for every dA.
+
+    Column k holds K_tau(psi_k) V, so L(V) has the stiffness sparsity
+    pattern, and L(V).T @ U = T_tau(psi_., V, U) is symmetric in (V, U).
+    The stiffness part is written with the differences V_j - V_i, as the
+    element stiffness rows are, so L(constant) is exactly zero at tau = 0.
+    """
     V = np.asarray(V, dtype=float)
-    A = np.asarray(A, dtype=float)
-    if V.shape != (mesh.node_count,) or A.shape != (mesh.node_count,):
+    if V.shape != (mesh.node_count,):
         raise ValueError("dimension mismatch")
-    tris = mesh.triangles
-    Vt = V[tris]
-    At = A[tris]
-    gv = np.einsum("tid,ti->td", mesh.grads, Vt)
-    contrib = (mesh.areas * At.mean(axis=1))[:, None] * np.einsum(
-        "tid,td->ti", mesh.grads, gv
-    )
+    Vt = V[mesh.triangles]
+    gg = mesh.cached("grad_products", _grad_products)
+    # (K_e V)_i per unit coefficient and area
+    kv = np.empty_like(Vt)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        kv[:, i] = gg[:, i, j] * (Vt[:, j] - Vt[:, i]) + gg[:, i, k] * (Vt[:, k] - Vt[:, i])
+    # the coefficient psi_k integrates to area/3 on each triangle holding node k
+    elem = np.repeat((kv * (mesh.areas / 3.0)[:, None])[:, :, None], 3, axis=2)
     if tau != 0.0:
-        contrib = contrib + (tau / 60.0 * mesh.areas)[:, None] * np.einsum(
-            "kij,tk,tj->ti", _C3, At, Vt
-        )
-    out = np.zeros(mesh.node_count)
-    np.add.at(out, tris, contrib)
-    return out
+        elem += (tau / 60.0 * mesh.areas)[:, None, None] * np.einsum("kij,tj->tik", _C3, Vt)
+    return mesh.scatter_csr(elem)
+
+
+def apply_L(mesh: Mesh, V: np.ndarray, A: np.ndarray, tau: float = 0.0) -> np.ndarray:
+    """K_tau(A) V, computed as L(V) @ A."""
+    A = np.asarray(A, dtype=float)
+    if A.shape != (mesh.node_count,):
+        raise ValueError("dimension mismatch")
+    return assemble_L(mesh, V, tau) @ A
 
 
 def apply_Lt(mesh: Mesh, V: np.ndarray, U: np.ndarray, tau: float = 0.0) -> np.ndarray:
-    """Parameter-space vector with entries T_tau(psi_k, V, U), assembled per element.
+    """Parameter-space vector with entries T_tau(psi_k, V, U), computed as L(V).T @ U.
 
-    This is the action of L(V)^T on U; it is symmetric in (V, U).
+    It is symmetric in (V, U).
     """
-    V = np.asarray(V, dtype=float)
     U = np.asarray(U, dtype=float)
-    if V.shape != (mesh.node_count,) or U.shape != (mesh.node_count,):
+    if U.shape != (mesh.node_count,):
         raise ValueError("dimension mismatch")
-    tris = mesh.triangles
-    Vt = V[tris]
-    Ut = U[tris]
-    gv = np.einsum("tid,ti->td", mesh.grads, Vt)
-    gu = np.einsum("tid,ti->td", mesh.grads, Ut)
-    dots = np.einsum("td,td->t", gv, gu)
-    contrib = np.repeat((mesh.areas * dots / 3.0)[:, None], 3, axis=1)
-    if tau != 0.0:
-        contrib = contrib + (tau / 60.0 * mesh.areas)[:, None] * np.einsum(
-            "kij,ti,tj->tk", _C3, Vt, Ut
-        )
-    out = np.zeros(mesh.node_count)
-    np.add.at(out, tris, contrib)
-    return out
+    return assemble_L(mesh, V, tau).T @ U
 
 
 def smoothed_tv(mesh: Mesh, A: np.ndarray, beta: float) -> float:
@@ -200,10 +196,3 @@ def smoothed_tv(mesh: Mesh, A: np.ndarray, beta: float) -> float:
         raise ValueError("beta must be positive")
     ga = np.einsum("tid,ti->td", mesh.grads, np.asarray(A, dtype=float)[mesh.triangles])
     return float(np.sum(mesh.areas * np.sqrt(np.sum(ga * ga, axis=1) + beta * beta)))
-
-
-def export_matrix_market(mat: sp.spmatrix, path) -> None:
-    """Debugging export in MatrixMarket coordinate format."""
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), mat.tocoo())

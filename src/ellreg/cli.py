@@ -176,7 +176,7 @@ def _cmd_check_gradients(args):
         V = op.solve_state(prob.P)
         g_dir = obj.ols_gradient_direct(op, V, prob.Z)
         w = op.solve_adjoint(V, prob.Z)
-        g_adj = obj.ols_gradient_adjoint(op, V, w)
+        g_adj = obj.ols_gradient_adjoint(op, op.L(V), w)
         rel = np.linalg.norm(g_dir - g_adj) / max(np.linalg.norm(g_dir), 1e-300)
         print(f"trial {trial}: adjoint/direct gradient relative gap {rel:.3e}")
         ok = ok and rel < 1e-10

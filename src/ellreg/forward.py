@@ -99,8 +99,8 @@ class RegularizedForwardOperator:
         self.tau = float(tau)
         self.coercive_shift = float(coercive_shift)
         self.K_tau = assembly.assemble_perturbed_stiffness(mesh, self.A, tau)
-        self.W = assembly.assemble_s_matrix(mesh)
-        self.M = assembly.assemble_mass(mesh)
+        self.W = assembly.shared_s_matrix(mesh)
+        self.M = assembly.shared_mass(mesh)
         self.system = (self.K_tau + (self.eps + self.coercive_shift) * self.W).tocsc()
         self._system_norm = spla.norm(self.system, np.inf)
         self._lu = None
@@ -161,6 +161,10 @@ class RegularizedForwardOperator:
         """Solve [K_tau(A) + eps*W] V = P."""
         return self.solve(np.asarray(P, dtype=float))
 
+    def L(self, V: np.ndarray) -> sp.csr_matrix:
+        """The tensor L(V) at this operator's tau: L(V) @ dA = K_tau(dA) @ V."""
+        return assembly.assemble_L(self.mesh, V, self.tau)
+
     def solve_sensitivity(self, V: np.ndarray, dA: np.ndarray) -> np.ndarray:
         """First-order sensitivity: [K_tau(A)+eps*W] dV = -K_tau(dA) V = -L(V) dA."""
         rhs = -assembly.apply_L(self.mesh, V, np.asarray(dA, dtype=float), self.tau)
@@ -172,10 +176,9 @@ class RegularizedForwardOperator:
         rhs -= assembly.apply_L(self.mesh, dV2, np.asarray(dA1, dtype=float), self.tau)
         return self.solve(rhs)
 
-    def solve_adjoint(self, V: np.ndarray, Z: np.ndarray, data_metric: str = "l2") -> np.ndarray:
-        """Adjoint state: [K_tau(A)+eps*W] w = M (Z - V) (or W (Z - V) when Z = V-space data)."""
-        G = self.M if data_metric == "l2" else self.W
-        return self.solve(G @ (np.asarray(Z, dtype=float) - np.asarray(V, dtype=float)))
+    def solve_adjoint(self, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """Adjoint state: [K_tau(A)+eps*W] w = M (Z - V)."""
+        return self.solve(self.M @ (np.asarray(Z, dtype=float) - np.asarray(V, dtype=float)))
 
 
 def riesz_dual_norm(W: sp.spmatrix, r: np.ndarray, W_lu=None) -> float:
@@ -199,8 +202,7 @@ def solve_neumann_mean_zero(mesh: Mesh, A: np.ndarray, P: np.ndarray) -> np.ndar
     multiplier enforces the mean-zero constraint.
     """
     K = assembly.assemble_stiffness(mesh, A)
-    M = assembly.assemble_mass(mesh)
-    c = M @ np.ones(mesh.node_count)
+    c = assembly.shared_mass(mesh) @ np.ones(mesh.node_count)
     sys = sp.bmat([[K, c[:, None]], [c[None, :], None]], format="csc")
     rhs = np.concatenate([np.asarray(P, dtype=float), [0.0]])
     sol = spla.splu(sys).solve(rhs)
@@ -209,7 +211,7 @@ def solve_neumann_mean_zero(mesh: Mesh, A: np.ndarray, P: np.ndarray) -> np.ndar
 
 def minimum_s_norm_selection(mesh: Mesh, u_particular: np.ndarray) -> np.ndarray:
     """Minimum-S-norm member of {u + c*1}: shift by c* = -(1^T W u)/(1^T W 1)."""
-    W = assembly.assemble_s_matrix(mesh)
+    W = assembly.shared_s_matrix(mesh)
     ones = np.ones(mesh.node_count)
     c = -(ones @ (W @ u_particular)) / (ones @ (W @ ones))
     return u_particular + c * ones

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,8 @@ class Mesh:
     # cached per-element geometry, filled in __post_init__
     areas: np.ndarray = field(default=None, repr=False)
     grads: np.ndarray = field(default=None, repr=False)
+    # values derived from the mesh alone, built on first use (see ``cached``)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = self.nodes[self.triangles]  # (T, 3, 2)
@@ -55,6 +58,37 @@ class Mesh:
     @property
     def node_count(self) -> int:
         return len(self.nodes)
+
+    def cached(self, key: str, build):
+        """``build(self)``, computed on the first call for ``key`` and shared after.
+
+        The arrays of the shared value are made read-only, so no caller can
+        change it under another.
+        """
+        if key not in self._cache:
+            self._cache[key] = _read_only(build(self))
+        return self._cache[key]
+
+    def scatter_add(self, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Nodal vector whose entry i sums the ``values`` at the places where ``index`` is i.
+
+        ``index`` holds node numbers (``triangles`` or ``boundary_edges``) and
+        ``values`` has its shape.
+        """
+        return np.bincount(index.ravel(), weights=values.ravel(),
+                           minlength=self.node_count)
+
+    def scatter_csr(self, elem: np.ndarray) -> sp.csr_matrix:
+        """Sum (T, 3, 3) element blocks into an N x N CSR matrix.
+
+        Block entry ``elem[t, i, j]`` is added at row ``triangles[t, i]``,
+        column ``triangles[t, j]``. Every matrix shares the mesh's read-only
+        sparsity pattern.
+        """
+        indptr, indices, slot = self.cached("csr_scatter", _csr_scatter)
+        data = np.bincount(slot, weights=elem.ravel(), minlength=len(indices))
+        n = self.node_count
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
     def export_text(self, path) -> None:
         """Write the mesh in the debugging text format (header, nodes, triangles)."""
@@ -81,6 +115,35 @@ class P1Space:
     @property
     def node_count(self) -> int:
         return self.mesh.node_count
+
+
+def _csr_scatter(mesh: Mesh):
+    """CSR pattern of the node graph, and the data slot of every element-block entry.
+
+    Returns ``(indptr, indices, slot)``; ``slot[9*t + 3*i + j]`` is the
+    position in the CSR data of the entry at row ``triangles[t, i]``,
+    column ``triangles[t, j]``.
+    """
+    n = mesh.node_count
+    tris = mesh.triangles
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+    return indptr, (keys % n).astype(np.int32), slot
+
+
+def _read_only(value):
+    """Mark the arrays of an ndarray, CSR matrix or tuple of them read-only."""
+    if isinstance(value, tuple):
+        for v in value:
+            _read_only(v)
+    elif sp.issparse(value):
+        for a in (value.data, value.indices, value.indptr):
+            a.flags.writeable = False
+    else:
+        value.flags.writeable = False
+    return value
 
 
 def build_unit_square(n: int) -> Mesh:

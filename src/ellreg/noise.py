@@ -61,7 +61,7 @@ def perturb_functional(P: np.ndarray, mesh: Mesh, spec: NoiseSpec,
     if n == 0.0:
         return P.copy()
     r = spec.generator(stream).uniform(0.0, 1.0, size=P.shape)
-    q = assembly.assemble_mass(mesh) @ r
-    W = assembly.assemble_s_matrix(mesh)
+    q = assembly.shared_mass(mesh) @ r
+    W = assembly.shared_s_matrix(mesh)
     scale = riesz_dual_norm(W, q, spla.splu(W.tocsc()))
     return P + n * q / scale

@@ -5,28 +5,23 @@ independent code paths: the direct matrix formulas built from the tensor
 actions L(V), L(V)^T, and the adjoint-state scheme (one extra solve, no
 sensitivity per parameter direction). The routes must agree to roundoff;
 the tests enforce this.
+
+The adjoint-route gradients and the Hessian actions take the tensors
+L(.) assembled once per state (``RegularizedForwardOperator.L``), so a
+Hessian action is its solves plus sparse matrix-vector products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import assembly
 from .forward import RegularizedForwardOperator
 from .mesh import Mesh
-
-
-@dataclass
-class ObjectiveReport:
-    value: float
-    gradient: np.ndarray
-    hessian_action: Optional[Callable[[np.ndarray], np.ndarray]]
-    misfit: float
-    reg_value: float
-    route: str
 
 
 @dataclass(frozen=True)
@@ -47,7 +42,7 @@ def regularizer_eval(reg: Regularizer, mesh: Mesh, A: np.ndarray):
     """Return (value, gradient, hessian_action) of the regularizer at A."""
     A = np.asarray(A, dtype=float)
     if reg.kind == "h1":
-        Wm = assembly.assemble_s_matrix(mesh)
+        Wm = assembly.shared_s_matrix(mesh)
         g = Wm @ A
         return 0.5 * float(A @ g), g, lambda d: Wm @ d
     # smoothed TV: sum_T area * sqrt(|grad a|^2 + beta^2)
@@ -56,8 +51,7 @@ def regularizer_eval(reg: Regularizer, mesh: Mesh, A: np.ndarray):
     s = np.sqrt(np.sum(ga * ga, axis=1) + reg.beta**2)
     value = float(np.sum(mesh.areas * s))
     contrib = (mesh.areas / s)[:, None] * np.einsum("tid,td->ti", mesh.grads, ga)
-    grad = np.zeros(mesh.node_count)
-    np.add.at(grad, tris, contrib)
+    grad = mesh.scatter_add(tris, contrib)
 
     def hess_action(d):
         dt = np.asarray(d, dtype=float)[tris]
@@ -67,9 +61,7 @@ def regularizer_eval(reg: Regularizer, mesh: Mesh, A: np.ndarray):
         c -= (mesh.areas * np.einsum("td,td->t", ga, gd) / s**3)[:, None] * np.einsum(
             "tid,td->ti", mesh.grads, ga
         )
-        out = np.zeros(mesh.node_count)
-        np.add.at(out, tris, c)
-        return out
+        return mesh.scatter_add(tris, c)
 
     return value, grad, hess_action
 
@@ -91,11 +83,14 @@ def ols_gradient_direct(op: RegularizedForwardOperator, V: np.ndarray, Z: np.nda
     return -assembly.apply_Lt(op.mesh, V, Q, op.tau)
 
 
-def ols_gradient_adjoint(op: RegularizedForwardOperator, V: np.ndarray, W_adj: np.ndarray,
+def ols_gradient_adjoint(op: RegularizedForwardOperator, LV: sp.csr_matrix, W_adj: np.ndarray,
                          kappa: float = 0.0, reg: Optional[Regularizer] = None,
                          A: Optional[np.ndarray] = None) -> np.ndarray:
-    """Adjoint route: kappa*DR(A) + T_tau(psi_k, V, w) with w from the adjoint solve."""
-    g = assembly.apply_Lt(op.mesh, V, W_adj, op.tau)
+    """Adjoint route: kappa*DR(A) + L(V)^T w = kappa*DR(A) + T_tau(psi_k, V, w).
+
+    ``LV`` is ``op.L(V)`` and ``W_adj`` the adjoint state ``op.solve_adjoint(V, Z)``.
+    """
+    g = LV.T @ W_adj
     if kappa != 0.0:
         if reg is None or A is None:
             raise ValueError("kappa != 0 requires a regularizer and the parameter point")
@@ -104,28 +99,27 @@ def ols_gradient_adjoint(op: RegularizedForwardOperator, V: np.ndarray, W_adj: n
     return g
 
 
-def ols_hessian_action(op: RegularizedForwardOperator, V: np.ndarray, W_adj: np.ndarray,
-                       dA: np.ndarray, kappa: float = 0.0,
-                       reg: Optional[Regularizer] = None,
-                       A: Optional[np.ndarray] = None) -> np.ndarray:
-    """Second-order adjoint scheme applied as an action dA -> H dA."""
-    mesh, tau = op.mesh, op.tau
-    dV = -op.solve(assembly.apply_L(mesh, V, np.asarray(dA, dtype=float), tau))
-    out = -assembly.apply_Lt(mesh, V, op.solve(op.M @ dV), tau)  # Gauss-Newton block
-    out += assembly.apply_Lt(mesh, dV, W_adj, tau)
-    out -= assembly.apply_Lt(mesh, V, op.solve(assembly.apply_L(mesh, W_adj, np.asarray(dA, dtype=float), tau)), tau)
-    if kappa != 0.0:
-        if reg is None or A is None:
-            raise ValueError("kappa != 0 requires a regularizer and the parameter point")
-        _, _, rh = regularizer_eval(reg, op.mesh, A)
-        out = out + kappa * rh(np.asarray(dA, dtype=float))
-    return out
+def ols_hessian_action(op: RegularizedForwardOperator, LV: sp.csr_matrix, Lw: sp.csr_matrix,
+                       dA: np.ndarray) -> np.ndarray:
+    """Second-order adjoint scheme applied as an action dA -> H dA (misfit part).
+
+    ``LV`` is ``op.L(V)`` and ``Lw`` is ``op.L(w)`` for the adjoint state w.
+    With dV = -G^-1 L(V) dA and G = K_tau(A) + eps*W, the action is
+    L(w)^T dV - L(V)^T G^-1 (M dV + L(w) dA): the terms L(dV)^T w = L(w)^T dV
+    and the two solves of the same operator are merged.
+    """
+    dV = -op.solve(LV @ dA)
+    return Lw.T @ dV - LV.T @ op.solve(op.M @ dV + Lw @ dA)
 
 
 def _dense_L(op: RegularizedForwardOperator, U: np.ndarray) -> np.ndarray:
-    """Materialize L(U) column by column; small meshes only."""
+    """Materialize L(U) column by column as K_tau(e_k) U; small meshes only.
+
+    Built from the assembled stiffness, not from ``assemble_L``, so it stays
+    an independent reference for the assembled tensor.
+    """
     m = op.mesh.node_count
-    cols = [assembly.apply_L(op.mesh, U, e, op.tau) for e in np.eye(m)]
+    cols = [assembly.assemble_perturbed_stiffness(op.mesh, e, op.tau) @ U for e in np.eye(m)]
     return np.column_stack(cols)
 
 
@@ -152,17 +146,21 @@ def mols_value(op: RegularizedForwardOperator, V: np.ndarray, Z: np.ndarray) -> 
     return 0.5 * float(d @ (op.system @ d))
 
 
-def mols_gradient(op: RegularizedForwardOperator, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """-1/2 L(V+Z)^T (V-Z); no linear solve needed."""
-    V = np.asarray(V, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    return -0.5 * assembly.apply_Lt(op.mesh, V + Z, V - Z, op.tau)
+def mols_gradient(LV: sp.csr_matrix, LZ: sp.csr_matrix, V: np.ndarray,
+                  Z: np.ndarray) -> np.ndarray:
+    """-1/2 L(V+Z)^T (V-Z) = -1/2 (L(V) + L(Z))^T (V-Z); no linear solve needed.
+
+    ``LV`` and ``LZ`` are ``op.L(V)`` and ``op.L(Z)``; L(Z) is fixed while
+    the data are, so a minimizer builds it once.
+    """
+    d = np.asarray(V, dtype=float) - np.asarray(Z, dtype=float)
+    return -0.5 * (LV.T @ d + LZ.T @ d)
 
 
-def mols_hessian_action(op: RegularizedForwardOperator, V: np.ndarray, dA: np.ndarray) -> np.ndarray:
-    """L(V)^T [K_tau(A)+eps*W]^-1 L(V) dA; PSD by the Gram-matrix structure."""
-    q = op.solve(assembly.apply_L(op.mesh, V, np.asarray(dA, dtype=float), op.tau))
-    return assembly.apply_Lt(op.mesh, V, q, op.tau)
+def mols_hessian_action(op: RegularizedForwardOperator, LV: sp.csr_matrix,
+                        dA: np.ndarray) -> np.ndarray:
+    """L(V)^T [K_tau(A)+eps*W]^-1 L(V) dA with ``LV = op.L(V)``; PSD by the Gram-matrix structure."""
+    return LV.T @ op.solve(LV @ dA)
 
 
 def mols_hessian_dense(op: RegularizedForwardOperator, V: np.ndarray) -> np.ndarray:

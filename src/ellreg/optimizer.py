@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import assembly
 from . import noise as noise_mod
 from . import objectives as obj
 from .forward import (
@@ -35,7 +36,6 @@ class SolveOptions:
     warm_start: bool = True
     cg_max_iters: int = 200
     cg_tol: float = 1e-8
-    verbose: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.armijo_c1 < 1.0):
@@ -79,17 +79,13 @@ class IdentificationProblem:
     noise: noise_mod.NoiseSpec = noise_mod.NoiseSpec(seed=0)
     ell_mode: str = "zero"  # or "data-steered"
     coercive_shift: float = 0.0
-    data_metric: str = "l2"
 
     def entry_data(self, entry):
         """Perturbed data vector and load for one schedule entry."""
         Z_d = noise_mod.perturb_data(self.Z_exact, self.noise, delta=entry.delta)
         P = noise_mod.perturb_functional(self.P_exact, self.mesh, self.noise, nu=entry.nu)
         if self.ell_mode == "data-steered":
-            import scipy.sparse  # local: only the W product is needed
-
-            from . import assembly
-            P = P + entry.eps * (assembly.assemble_s_matrix(self.mesh) @ Z_d)
+            P = P + entry.eps * (assembly.shared_s_matrix(self.mesh) @ Z_d)
         return Z_d, P
 
     def operator(self, A, entry) -> RegularizedForwardOperator:
@@ -105,35 +101,44 @@ def project_box(A: np.ndarray, c1: float, c2: float) -> np.ndarray:
 
 
 class _EntryObjective:
-    """Value/gradient/Hessian-action of one schedule entry's composite objective."""
+    """Value/gradient/Hessian-action of one schedule entry's composite objective.
+
+    Each evaluated state assembles its tensors once: L(V) for MOLS, L(V) and
+    L(w) for OLS (w the adjoint state). MOLS also needs L(Z), which is fixed
+    for the entry. Every Hessian action reuses them.
+    """
 
     def __init__(self, problem: IdentificationProblem, entry, objective: str):
         self.problem = problem
         self.entry = entry
         self.objective = objective
         self.Z, self.P = problem.entry_data(entry)
+        if objective == "mols":
+            self.LZ = assembly.assemble_L(problem.mesh, self.Z, entry.tau)
 
     def evaluate(self, A, need_hessian=False):
         pr = self.problem
         op = pr.operator(A, self.entry)
         V = op.solve_state(self.P)
+        LV = op.L(V)
         kappa = self.entry.kappa
         reg_value, reg_grad, reg_hess = obj.regularizer_eval(pr.reg, pr.mesh, A)
+        hess = None
         if self.objective == "ols":
             misfit = obj.ols_value(op, V, self.Z)
-            w_adj = op.solve_adjoint(V, self.Z, pr.data_metric)
-            grad = obj.ols_gradient_adjoint(op, V, w_adj) + kappa * reg_grad
-            hess = None
+            w_adj = op.solve_adjoint(V, self.Z)
+            grad = obj.ols_gradient_adjoint(op, LV, w_adj) + kappa * reg_grad
             if need_hessian:
-                def hess(d, op=op, V=V, w_adj=w_adj, reg_hess=reg_hess, kappa=kappa):
-                    return obj.ols_hessian_action(op, V, w_adj, d) + kappa * reg_hess(d)
+                Lw = op.L(w_adj)
+
+                def hess(d):
+                    return obj.ols_hessian_action(op, LV, Lw, d) + kappa * reg_hess(d)
         else:
             misfit = obj.mols_value(op, V, self.Z)
-            grad = obj.mols_gradient(op, V, self.Z) + kappa * reg_grad
-            hess = None
+            grad = obj.mols_gradient(LV, self.LZ, V, self.Z) + kappa * reg_grad
             if need_hessian:
-                def hess(d, op=op, V=V, reg_hess=reg_hess, kappa=kappa):
-                    return obj.mols_hessian_action(op, V, d) + kappa * reg_hess(d)
+                def hess(d):
+                    return obj.mols_hessian_action(op, LV, d) + kappa * reg_hess(d)
         value = misfit + kappa * reg_value
         return value, grad, hess, V, op
 
@@ -256,7 +261,7 @@ def ols_optimality_check(problem: IdentificationProblem, result: ReconstructionR
     Z, P = problem.entry_data(entry)
     op = problem.operator(result.A, entry)
     V = op.solve_state(P)
-    p_adj = op.solve_adjoint(V, Z, problem.data_metric)
+    p_adj = op.solve_adjoint(V, Z)
     return obj.ols_optimality_residual(op, V, p_adj, result.A, entry.kappa,
                                        problem.reg, problem.c1, problem.c2,
                                        n_random=n_random, seed=seed)

@@ -63,7 +63,7 @@ class ContingentProbe:
         if self.dA2 is None:
             self.dA2 = self.dA
         self.dA2 = np.asarray(self.dA2, dtype=float)
-        self.W = assembly.assemble_s_matrix(self.mesh)
+        self.W = assembly.shared_s_matrix(self.mesh)
         self._W_lu = spla.splu(self.W.tocsc())
         if self.coercive:
             op0 = RegularizedForwardOperator(self.mesh, self.A_bar, eps=0.0, coercive_shift=1.0)

@@ -47,7 +47,7 @@ def test_criterion_01_adjoint_direct_gradient_identity(small):
         op = RegularizedForwardOperator(small.mesh, A, eps=1e-3, tau=1e-4)
         V = op.solve_state(small.P)
         g_dir = obj.ols_gradient_direct(op, V, small.Z)
-        g_adj = obj.ols_gradient_adjoint(op, V, op.solve_adjoint(V, small.Z))
+        g_adj = obj.ols_gradient_adjoint(op, op.L(V), op.solve_adjoint(V, small.Z))
         worst = max(worst, np.linalg.norm(g_dir - g_adj) / np.linalg.norm(g_dir))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-12
@@ -66,7 +66,7 @@ def test_criterion_02_finite_difference_oracles(small):
     V = op.solve_state(small.P)
     w = op.solve_adjoint(V, small.Z)
     g_ols = obj.ols_gradient_direct(op, V, small.Z)
-    g_mols = obj.mols_gradient(op, V, small.Z)
+    g_mols = obj.mols_gradient(op.L(V), op.L(small.Z), V, small.Z)
     m = mesh.node_count
 
     def state(Aq):
@@ -97,10 +97,10 @@ def test_criterion_02_finite_difference_oracles(small):
     op_m, Vm = state(A - h * dA)
     fd_Hols = (obj.ols_gradient_direct(op_p, Vp, small.Z)
                - obj.ols_gradient_direct(op_m, Vm, small.Z)) / (2 * h)
-    fd_Hmols = (obj.mols_gradient(op_p, Vp, small.Z)
-                - obj.mols_gradient(op_m, Vm, small.Z)) / (2 * h)
-    H_ols = obj.ols_hessian_action(op, V, w, dA)
-    H_mols = obj.mols_hessian_action(op, V, dA)
+    fd_Hmols = (obj.mols_gradient(op_p.L(Vp), op_p.L(small.Z), Vp, small.Z)
+                - obj.mols_gradient(op_m.L(Vm), op_m.L(small.Z), Vm, small.Z)) / (2 * h)
+    H_ols = obj.ols_hessian_action(op, op.L(V), op.L(w), dA)
+    H_mols = obj.mols_hessian_action(op, op.L(V), dA)
     err_Hols = np.linalg.norm(fd_Hols - H_ols) / np.linalg.norm(fd_Hols)
     err_Hmols = np.linalg.norm(fd_Hmols - H_mols) / np.linalg.norm(fd_Hmols)
     assert err_Hols <= 1e-4

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import sympy as sym
+from hypothesis import given, settings, strategies as st
 
 from ellreg import assembly
 from ellreg.mesh import Mesh, build_unit_square
@@ -226,3 +227,74 @@ def test_dimension_mismatch_rejected():
         assembly.assemble_stiffness(mesh, np.ones(5))
     with pytest.raises(ValueError):
         assembly.apply_L(mesh, np.ones(mesh.node_count), np.ones(3))
+
+
+def _random_mesh(n, rng):
+    """build_unit_square(n) with every interior coordinate jittered by up to 0.1/n."""
+    base = build_unit_square(n)
+    nodes = base.nodes.copy()
+    inside = (nodes > 0.0) & (nodes < 1.0)
+    nodes += np.where(inside, rng.uniform(-0.1, 0.1, nodes.shape) / n, 0.0)
+    return Mesh(nodes=nodes, triangles=base.triangles, boundary_edges=base.boundary_edges,
+                boundary_normals=base.boundary_normals, h=base.h)
+
+
+_random_meshes = given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+_examples = settings(max_examples=30, deadline=None)
+
+
+@_examples
+@_random_meshes
+def test_scatter_matches_add_at(n, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    mesh = _random_mesh(n, rng)
+    tris = mesh.triangles
+    elem = rng.standard_normal((len(tris), 3, 3))
+    dense = np.zeros((mesh.node_count, mesh.node_count))
+    np.add.at(dense, (tris[:, :, None], tris[:, None, :]), elem)
+    mat = mesh.scatter_csr(elem)
+    assert mat.has_canonical_format
+    # both sum each entry's contributions in element order, so bit for bit
+    assert np.array_equal(mat.toarray(), dense)
+    contrib = rng.standard_normal((len(tris), 3))
+    vec = np.zeros(mesh.node_count)
+    np.add.at(vec, tris, contrib)
+    assert np.array_equal(mesh.scatter_add(tris, contrib), vec)
+
+
+@_examples
+@_random_meshes
+def test_assembled_L_is_the_tensor(n, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    mesh = _random_mesh(n, rng)
+    for tau in (0.0, float(rng.uniform(0.0, 1.0))):
+        V, U = rng.standard_normal((2, mesh.node_count))
+        dA = rng.uniform(-1.0, 2.0, size=mesh.node_count)
+        LV = assembly.assemble_L(mesh, V, tau)
+        KV = assembly.assemble_perturbed_stiffness(mesh, dA, tau) @ V
+        assert np.linalg.norm(LV @ dA - KV) <= 1e-12 * np.linalg.norm(KV)
+        LtU = LV.T @ U
+        LtV = assembly.assemble_L(mesh, U, tau).T @ V
+        assert np.linalg.norm(LtU - LtV) <= 1e-12 * np.linalg.norm(LtU)
+
+
+@_examples
+@_random_meshes
+def test_assembled_L_of_constant_is_zero(n, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    mesh = _random_mesh(n, rng)
+    const = np.full(mesh.node_count, rng.uniform(-5.0, 5.0))
+    assert not assembly.assemble_L(mesh, const).data.any()
+
+
+def test_shared_matrices_are_built_once_and_read_only():
+    mesh = build_unit_square(3)
+    W = assembly.shared_s_matrix(mesh)
+    M = assembly.shared_mass(mesh)
+    assert assembly.shared_s_matrix(mesh) is W and assembly.shared_mass(mesh) is M
+    assert np.allclose(W.toarray(), assembly.assemble_s_matrix(mesh).toarray(), atol=1e-15)
+    assert np.allclose(M.toarray(), assembly.assemble_mass(mesh).toarray(), atol=1e-15)
+    with pytest.raises(ValueError):
+        W.data[0] = 0.0
+    with pytest.raises(ValueError):
+        M.indices[0] = 0

@@ -34,7 +34,7 @@ def test_ols_gradient_routes_and_fd(setup):
     prob, A, op, V = setup
     g_dir = obj.ols_gradient_direct(op, V, prob.Z)
     w = op.solve_adjoint(V, prob.Z)
-    g_adj = obj.ols_gradient_adjoint(op, V, w)
+    g_adj = obj.ols_gradient_adjoint(op, op.L(V), w)
     assert np.linalg.norm(g_dir - g_adj) <= 1e-12 * np.linalg.norm(g_dir)
     g_fd = _fd_gradient(prob, A, op.eps, op.tau,
                         lambda o, v: obj.ols_value(o, v, prob.Z))
@@ -43,7 +43,7 @@ def test_ols_gradient_routes_and_fd(setup):
 
 def test_mols_gradient_fd(setup):
     prob, A, op, V = setup
-    g = obj.mols_gradient(op, V, prob.Z)
+    g = obj.mols_gradient(op.L(V), op.L(prob.Z), V, prob.Z)
     g_fd = _fd_gradient(prob, A, op.eps, op.tau,
                         lambda o, v: obj.mols_value(o, v, prob.Z))
     assert np.linalg.norm(g_fd - g) <= 1e-6 * np.linalg.norm(g_fd)
@@ -57,7 +57,7 @@ def test_ols_hessian_action_vs_dense(setup):
     rng = np.random.Generator(np.random.Philox(key=21))
     for _ in range(5):
         dA = rng.standard_normal(len(A))
-        act = obj.ols_hessian_action(op, V, w, dA)
+        act = obj.ols_hessian_action(op, op.L(V), op.L(w), dA)
         assert np.linalg.norm(H @ dA - act) <= 1e-12 * np.linalg.norm(H @ dA)
 
 
@@ -68,7 +68,7 @@ def test_mols_hessian_action_vs_dense_and_psd(setup):
     assert np.linalg.eigvalsh(0.5 * (H + H.T)).min() >= -1e-10
     rng = np.random.Generator(np.random.Philox(key=22))
     dA = rng.standard_normal(len(A))
-    act = obj.mols_hessian_action(op, V, dA)
+    act = obj.mols_hessian_action(op, op.L(V), dA)
     assert np.linalg.norm(H @ dA - act) <= 1e-12 * np.linalg.norm(H @ dA)
 
 
@@ -88,8 +88,8 @@ def test_hessians_match_fd_of_gradient(setup):
         Vp, Vm = op_p.solve_state(prob.P), op_m.solve_state(prob.P)
         Hf_ols[:, i] = (obj.ols_gradient_direct(op_p, Vp, prob.Z)
                         - obj.ols_gradient_direct(op_m, Vm, prob.Z)) / (2 * h)
-        Hf_mols[:, i] = (obj.mols_gradient(op_p, Vp, prob.Z)
-                         - obj.mols_gradient(op_m, Vm, prob.Z)) / (2 * h)
+        Hf_mols[:, i] = (obj.mols_gradient(op_p.L(Vp), op_p.L(prob.Z), Vp, prob.Z)
+                         - obj.mols_gradient(op_m.L(Vm), op_m.L(prob.Z), Vm, prob.Z)) / (2 * h)
     assert np.linalg.norm(Hf_ols - H_ols) <= 1e-5 * np.linalg.norm(Hf_ols)
     assert np.linalg.norm(Hf_mols - H_mols) <= 1e-5 * np.linalg.norm(Hf_mols)
 
@@ -132,12 +132,13 @@ def test_gradient_with_regularizer_term(setup):
     reg = obj.Regularizer(kind="h1")
     kappa = 1e-3
     w = op.solve_adjoint(V, prob.Z)
-    g = obj.ols_gradient_adjoint(op, V, w, kappa=kappa, reg=reg, A=A)
-    g_plain = obj.ols_gradient_adjoint(op, V, w)
+    LV = op.L(V)
+    g = obj.ols_gradient_adjoint(op, LV, w, kappa=kappa, reg=reg, A=A)
+    g_plain = obj.ols_gradient_adjoint(op, LV, w)
     W = assembly.assemble_s_matrix(prob.mesh)
     assert np.allclose(g, g_plain + kappa * (W @ A), atol=1e-13)
     with pytest.raises(ValueError):
-        obj.ols_gradient_adjoint(op, V, w, kappa=kappa)
+        obj.ols_gradient_adjoint(op, LV, w, kappa=kappa)
 
 
 def test_vi_residual_nonnegative_at_minimizer():

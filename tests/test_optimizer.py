@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ellreg import objectives as obj
+from ellreg import assembly, objectives as obj
 from ellreg.experiments import ManufacturedProblem
 from ellreg.forward import (
     RegularizationSchedule,
@@ -127,3 +127,31 @@ def test_data_steered_mode_changes_load():
     _, P0 = problem_zero.entry_data(entry)
     _, P1 = problem_ds.entry_data(entry)
     assert not np.allclose(P0, P1)
+
+
+@pytest.mark.parametrize("objective", ["ols", "mols"])
+def test_tensors_assembled_once_per_state(objective, monkeypatch):
+    # a Hessian action must reuse the tensors of its state: per operator
+    # (one per evaluated state) MOLS builds L(V) and OLS L(V) and L(w);
+    # MOLS also builds L(Z) once per schedule entry
+    prob, problem = _problem(8)
+    sched = default_schedule(n_entries=2, eps0=1e-2)
+    counts = {"builds": 0, "operators": 0, "hessian_actions": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(assembly, "assemble_L", counted("builds", assembly.assemble_L))
+    monkeypatch.setattr(IdentificationProblem, "operator",
+                        counted("operators", IdentificationProblem.operator))
+    action = f"{objective}_hessian_action"
+    monkeypatch.setattr(obj, action, counted("hessian_actions", getattr(obj, action)))
+    res = minimize(problem, sched, SolveOptions(objective=objective),
+                   np.full(prob.mesh.node_count, 5.05))
+    assert res.success
+    per_state, per_entry = (2, 0) if objective == "ols" else (1, 1)
+    assert counts["builds"] <= per_state * counts["operators"] + per_entry * len(sched)
+    assert counts["hessian_actions"] > counts["builds"]
