@@ -4,7 +4,6 @@ adjoint derivatives, limit probes for the set-valued solution map, and
 the reconstruction experiments."""
 
 from .assembly import (
-    AdmissibleParameter,
     apply_L,
     apply_Lt,
     assemble_L,
@@ -25,7 +24,7 @@ from .forward import (
     riesz_dual_norm,
     solve_neumann_mean_zero,
 )
-from .mesh import Mesh, P1Space, build_unit_square, interpolate
+from .mesh import Mesh, build_unit_square, interpolate
 from .noise import NoiseSpec, perturb_data, perturb_functional
 from .objectives import (
     Regularizer,

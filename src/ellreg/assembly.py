@@ -12,10 +12,9 @@ the operator-noise proximity bound with constant max|a|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .mesh import Mesh
 
@@ -30,23 +29,6 @@ for _k in range(3):
             elif len(s) == 2:
                 _C3[_k, _i, _j] = 2.0
 del _k, _i, _j, s
-
-
-@dataclass
-class AdmissibleParameter:
-    """Coefficient vector with box bounds."""
-
-    A: np.ndarray
-    c1: float = 0.1
-    c2: float = 10.0
-
-    def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        if self.c1 <= 0 or self.c1 >= self.c2:
-            raise ValueError("need 0 < c1 < c2")
-
-    def in_box(self) -> bool:
-        return bool(np.all(self.A >= self.c1) and np.all(self.A <= self.c2))
 
 
 def _grad_products(mesh: Mesh) -> np.ndarray:
@@ -110,6 +92,11 @@ def shared_mass(mesh: Mesh) -> sp.csr_matrix:
 def shared_s_matrix(mesh: Mesh) -> sp.csr_matrix:
     """The mesh's H1 Gram matrix W, assembled once per mesh and read-only."""
     return mesh.cached("s_matrix", assemble_s_matrix)
+
+
+def shared_s_factor(mesh: Mesh):
+    """The sparse LU of the mesh's W, factorized once per mesh."""
+    return mesh.cached("s_factor", lambda m: spla.splu(shared_s_matrix(m).tocsc()))
 
 
 def assemble_load(mesh: Mesh, f=None, g=None) -> np.ndarray:
@@ -189,10 +176,3 @@ def apply_Lt(mesh: Mesh, V: np.ndarray, U: np.ndarray, tau: float = 0.0) -> np.n
         raise ValueError("dimension mismatch")
     return assemble_L(mesh, V, tau).T @ U
 
-
-def smoothed_tv(mesh: Mesh, A: np.ndarray, beta: float) -> float:
-    """Smoothed total variation: sum over triangles of area*sqrt(|grad a|^2 + beta^2)."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    ga = np.einsum("tid,ti->td", mesh.grads, np.asarray(A, dtype=float)[mesh.triangles])
-    return float(np.sum(mesh.areas * np.sqrt(np.sum(ga * ga, axis=1) + beta * beta)))

@@ -67,8 +67,10 @@ def build_parser():
 
 
 def _table_config(args, **overrides):
-    cfg = exp.ExperimentConfig(objective=args.objective, kappa=args.kappa,
-                               eps=args.eps, seed=args.seed, **overrides)
+    """Config from the flags; ``overrides`` win over them, ``--n`` over both."""
+    values = dict(objective=args.objective, kappa=args.kappa, eps=args.eps,
+                  seed=args.seed)
+    cfg = exp.ExperimentConfig(**{**values, **overrides})
     if args.n is not None:
         cfg.mesh_sizes = (args.n,)
     return cfg
@@ -99,20 +101,8 @@ def _cmd_table2(args):
 
 def _cmd_table3(args):
     deltas = (args.delta,) if args.delta else (1e-1, 1e-2, 1e-3)
-    mesh_sizes = (args.n,) if args.n is not None else (80,)
-    cfg = exp.ExperimentConfig(objective=args.objective, kappa=args.kappa,
-                               eps=args.eps, seed=args.seed, deltas=deltas,
-                               mesh_sizes=mesh_sizes)
-    rows = exp.run_table(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "table3.csv"
-    exp.write_table_csv(rows, path, cfg, label_name="delta")
-    for r in rows:
-        print(f"delta={r.label}  rel_l2_a={r.rel_l2_a:.2e}  "
-              f"rel_l2_u={r.rel_l2_u:.2e}  iters={r.iterations}")
-    print(f"wrote {path}")
-    return 0
+    return _run_table(args, "table3.csv", label_name="delta", deltas=deltas,
+                      mesh_sizes=(80,))
 
 
 def _cmd_failure(args):
@@ -176,7 +166,7 @@ def _cmd_check_gradients(args):
         V = op.solve_state(prob.P)
         g_dir = obj.ols_gradient_direct(op, V, prob.Z)
         w = op.solve_adjoint(V, prob.Z)
-        g_adj = obj.ols_gradient_adjoint(op, op.L(V), w)
+        g_adj = obj.ols_gradient_adjoint(op.L(V), w)
         rel = np.linalg.norm(g_dir - g_adj) / max(np.linalg.norm(g_dir), 1e-300)
         print(f"trial {trial}: adjoint/direct gradient relative gap {rel:.3e}")
         ok = ok and rel < 1e-10

@@ -21,7 +21,7 @@ from .forward import (
     ScheduleEntry,
     SingularSystemError,
 )
-from .mesh import Mesh, P1Space, build_unit_square, interpolate
+from .mesh import Mesh, build_unit_square, interpolate
 from .optimizer import IdentificationProblem, SolveOptions, minimize
 
 
@@ -53,12 +53,11 @@ class ManufacturedProblem:
     @classmethod
     def build(cls, n: int) -> "ManufacturedProblem":
         mesh = build_unit_square(n)
-        space = P1Space(mesh)
         return cls(
             mesh=mesh,
             P=assembly.assemble_load(mesh, f=f_exact),
-            Z=interpolate(space, u_exact),
-            A_true=interpolate(space, a_exact),
+            Z=interpolate(mesh, u_exact),
+            A_true=interpolate(mesh, a_exact),
         )
 
 
@@ -86,7 +85,6 @@ class TableRow:
     rel_l2_u: float
     rel_linf_a: float
     rel_linf_u: float
-    rel_l2_a_interp: float  # a-error, alternative reference reading
     rel_l2_u_interp: float  # u-error against the interpolated exact state
     iterations: int
     wall_time: float  # reported to the console only; kept out of the CSVs
@@ -103,7 +101,6 @@ def _errors(mesh, A_star, V_star, A_true, u_ref, Z_interp):
         rel_l2_u=l2(V_star - u_ref) / l2(u_ref),
         rel_linf_a=float(np.max(np.abs(A_star - A_true)) / np.max(np.abs(A_true))),
         rel_linf_u=float(np.max(np.abs(V_star - u_ref)) / np.max(np.abs(u_ref))),
-        rel_l2_a_interp=l2(A_star - A_true) / l2(A_true),
         rel_l2_u_interp=l2(V_star - Z_interp) / l2(Z_interp),
     )
 
@@ -175,11 +172,10 @@ def write_table_csv(rows: list[TableRow], path, config: ExperimentConfig,
     with open(str(path) + ".full.csv", "w", newline="") as fh:
         fh.write(header)
         fh.write(f"{label_name},rel_l2_a,rel_l2_u,rel_linf_a,rel_linf_u,"
-                 "rel_l2_a_interp,rel_l2_u_interp,iterations\n")
+                 "rel_l2_u_interp,iterations\n")
         for r in rows:
             fh.write(f"{r.label},{r.rel_l2_a!r},{r.rel_l2_u!r},{r.rel_linf_a!r},"
-                     f"{r.rel_linf_u!r},{r.rel_l2_a_interp!r},"
-                     f"{r.rel_l2_u_interp!r},{r.iterations}\n")
+                     f"{r.rel_linf_u!r},{r.rel_l2_u_interp!r},{r.iterations}\n")
 
 
 def run_failure_demo(config: ExperimentConfig, n: int = 60) -> dict:
@@ -200,23 +196,3 @@ def run_failure_demo(config: ExperimentConfig, n: int = 60) -> dict:
     return {"status": status, "condition_estimate": op.condition_estimate,
             "errors": errs, "wall_time": wall}
 
-
-def emit_field(values: np.ndarray, nx: int, ny: int, path) -> None:
-    """Plain-text grid file: header 'nx ny', then row-major values, 17 digits."""
-    values = np.asarray(values, dtype=float).ravel()
-    if len(values) != nx * ny:
-        raise ValueError("value count does not match the grid")
-    try:
-        with open(path, "w") as fh:
-            fh.write(f"{nx} {ny}\n")
-            for v in values:
-                fh.write(f"{v:.17g}\n")
-    except OSError as err:
-        raise OSError(f"cannot write field file {path}: {err}") from err
-
-
-def read_field(path):
-    with open(path) as fh:
-        nx, ny = (int(t) for t in fh.readline().split())
-        values = np.array([float(line) for line in fh])
-    return values, nx, ny

@@ -181,11 +181,10 @@ class RegularizedForwardOperator:
         return self.solve(self.M @ (np.asarray(Z, dtype=float) - np.asarray(V, dtype=float)))
 
 
-def riesz_dual_norm(W: sp.spmatrix, r: np.ndarray, W_lu=None) -> float:
+def riesz_dual_norm(mesh: Mesh, r: np.ndarray) -> float:
     """Discrete dual norm sqrt(r^T W^-1 r) via the W-inner-product Riesz map."""
-    if W_lu is None:
-        W_lu = spla.splu(W.tocsc())
-    q = W_lu.solve(np.asarray(r, dtype=float))
+    r = np.asarray(r, dtype=float)
+    q = assembly.shared_s_factor(mesh).solve(r)
     return float(np.sqrt(max(r @ q, 0.0)))
 
 

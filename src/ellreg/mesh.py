@@ -1,4 +1,4 @@
-"""Structured triangulations of the unit square with P1 nodal spaces.
+"""Structured triangulations of the unit square and P1 nodal interpolation.
 
 Nodes are ordered row-major: node ``j*(n+1)+i`` sits at ``(i/n, j/n)``.
 Each grid cell is split along the diagonal from its lower-left to its
@@ -22,14 +22,12 @@ class Mesh:
     nodes : (N, 2) float array of node coordinates.
     triangles : (T, 3) int array of counterclockwise node indices.
     boundary_edges : (E, 2) int array of boundary edge endpoints.
-    boundary_normals : (E, 2) float array of unit outward normals.
     h : longest edge length.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
-    boundary_normals: np.ndarray
     h: float
     # cached per-element geometry, filled in __post_init__
     areas: np.ndarray = field(default=None, repr=False)
@@ -90,32 +88,6 @@ class Mesh:
         n = self.node_count
         return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
-    def export_text(self, path) -> None:
-        """Write the mesh in the debugging text format (header, nodes, triangles)."""
-        with open(path, "w") as fh:
-            fh.write(f"nodes {len(self.nodes)} triangles {len(self.triangles)}\n")
-            for x, y in self.nodes:
-                fh.write(f"{float(x)!r} {float(y)!r}\n")
-            for t in self.triangles:
-                fh.write(f"{t[0]} {t[1]} {t[2]}\n")
-
-
-@dataclass(frozen=True)
-class P1Space:
-    """Continuous piecewise-linear nodal space on a mesh.
-
-    ``role`` distinguishes the parameter space (dimension m) from the state
-    space (dimension n); both use the same triangulation and the same nodes
-    here, so the dimensions coincide.
-    """
-
-    mesh: Mesh
-    role: str = "state"
-
-    @property
-    def node_count(self) -> int:
-        return self.mesh.node_count
-
 
 def _csr_scatter(mesh: Mesh):
     """CSR pattern of the node graph, and the data slot of every element-block entry.
@@ -134,14 +106,17 @@ def _csr_scatter(mesh: Mesh):
 
 
 def _read_only(value):
-    """Mark the arrays of an ndarray, CSR matrix or tuple of them read-only."""
+    """Mark the arrays of an ndarray, CSR matrix or tuple of them read-only.
+
+    Other objects (a factorization, say) are passed through unchanged.
+    """
     if isinstance(value, tuple):
         for v in value:
             _read_only(v)
     elif sp.issparse(value):
         for a in (value.data, value.indices, value.indptr):
             a.flags.writeable = False
-    else:
+    elif isinstance(value, np.ndarray):
         value.flags.writeable = False
     return value
 
@@ -171,32 +146,26 @@ def build_unit_square(n: int) -> Mesh:
     triangles = np.asarray(tris, dtype=np.int64)
 
     edges = []
-    normals = []
     for i in range(n):  # bottom, left to right
         edges.append((idx(i, 0), idx(i + 1, 0)))
-        normals.append((0.0, -1.0))
     for j in range(n):  # right, bottom to top
         edges.append((idx(n, j), idx(n, j + 1)))
-        normals.append((1.0, 0.0))
     for i in range(n):  # top
         edges.append((idx(i + 1, n), idx(i, n)))
-        normals.append((0.0, 1.0))
     for j in range(n):  # left
         edges.append((idx(0, j + 1), idx(0, j)))
-        normals.append((-1.0, 0.0))
 
     return Mesh(
         nodes=nodes,
         triangles=triangles,
         boundary_edges=np.asarray(edges, dtype=np.int64),
-        boundary_normals=np.asarray(normals),
         h=float(np.sqrt(2.0) / n),
     )
 
 
-def interpolate(space: P1Space, f) -> np.ndarray:
-    """Nodal interpolation: evaluate ``f(x1, x2)`` at every node of the space."""
-    x, y = space.mesh.nodes[:, 0], space.mesh.nodes[:, 1]
+def interpolate(mesh: Mesh, f) -> np.ndarray:
+    """Nodal P1 interpolation: evaluate ``f(x1, x2)`` at every node of the mesh."""
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     vals = f(x, y)
     return np.broadcast_to(np.asarray(vals, dtype=float), x.shape).copy()
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import assembly
 from .forward import riesz_dual_norm
@@ -26,10 +25,9 @@ class NoiseSpec:
     seed: int
     delta: float = 0.0  # data-noise level
     nu: float = 0.0     # functional-noise level
-    tau: float = 0.0    # operator-noise level
 
     def __post_init__(self):
-        if min(self.delta, self.nu, self.tau) < 0:
+        if min(self.delta, self.nu) < 0:
             raise ValueError("noise levels must be nonnegative")
 
     def generator(self, stream: int) -> np.random.Generator:
@@ -62,6 +60,4 @@ def perturb_functional(P: np.ndarray, mesh: Mesh, spec: NoiseSpec,
         return P.copy()
     r = spec.generator(stream).uniform(0.0, 1.0, size=P.shape)
     q = assembly.shared_mass(mesh) @ r
-    W = assembly.shared_s_matrix(mesh)
-    scale = riesz_dual_norm(W, q, spla.splu(W.tocsc()))
-    return P + n * q / scale
+    return P + n * q / riesz_dual_norm(mesh, q)

@@ -83,20 +83,12 @@ def ols_gradient_direct(op: RegularizedForwardOperator, V: np.ndarray, Z: np.nda
     return -assembly.apply_Lt(op.mesh, V, Q, op.tau)
 
 
-def ols_gradient_adjoint(op: RegularizedForwardOperator, LV: sp.csr_matrix, W_adj: np.ndarray,
-                         kappa: float = 0.0, reg: Optional[Regularizer] = None,
-                         A: Optional[np.ndarray] = None) -> np.ndarray:
-    """Adjoint route: kappa*DR(A) + L(V)^T w = kappa*DR(A) + T_tau(psi_k, V, w).
+def ols_gradient_adjoint(LV: sp.csr_matrix, W_adj: np.ndarray) -> np.ndarray:
+    """Adjoint route: L(V)^T w = T_tau(psi_k, V, w); no regularizer term.
 
     ``LV`` is ``op.L(V)`` and ``W_adj`` the adjoint state ``op.solve_adjoint(V, Z)``.
     """
-    g = LV.T @ W_adj
-    if kappa != 0.0:
-        if reg is None or A is None:
-            raise ValueError("kappa != 0 requires a regularizer and the parameter point")
-        _, rg, _ = regularizer_eval(reg, op.mesh, A)
-        g = g + kappa * rg
-    return g
+    return LV.T @ W_adj
 
 
 def ols_hessian_action(op: RegularizedForwardOperator, LV: sp.csr_matrix, Lw: sp.csr_matrix,
@@ -180,21 +172,10 @@ def mols_optimality_residual(op: RegularizedForwardOperator, V: np.ndarray, Z: n
     points and seeded random interior points; at a minimizer the minimum must
     be >= -tol.
     """
-    A = np.asarray(A, dtype=float)
     V = np.asarray(V, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    g_half = assembly.apply_Lt(op.mesh, V + Z, V - Z, op.tau)
-    if kappa != 0.0 and reg is not None:
-        RA, _, _ = regularizer_eval(reg, op.mesh, A)
-    worst = np.inf
-    for a in _vi_samples(A, c1, c2, n_random, seed):
-        lhs = -0.5 * float((a - A) @ g_half)
-        rhs = 0.0
-        if kappa != 0.0 and reg is not None:
-            Ra, _, _ = regularizer_eval(reg, op.mesh, a)
-            rhs = kappa * (RA - Ra)
-        worst = min(worst, lhs - rhs)
-    return worst
+    g = -0.5 * assembly.apply_Lt(op.mesh, V + Z, V - Z, op.tau)
+    return _vi_residual(op.mesh, g, A, kappa, reg, c1, c2, n_random, seed)
 
 
 def ols_optimality_residual(op: RegularizedForwardOperator, V: np.ndarray, P_adj: np.ndarray,
@@ -202,18 +183,22 @@ def ols_optimality_residual(op: RegularizedForwardOperator, V: np.ndarray, P_adj
                             c1: float, c2: float, n_random: int = 32,
                             seed: int = 0) -> float:
     """Worst sampled violation of T_tau(a - A, V, p) >= kappa*(R(A) - R(a))."""
-    A = np.asarray(A, dtype=float)
     g = assembly.apply_Lt(op.mesh, np.asarray(V, dtype=float), np.asarray(P_adj, dtype=float), op.tau)
-    if kappa != 0.0 and reg is not None:
-        RA, _, _ = regularizer_eval(reg, op.mesh, A)
+    return _vi_residual(op.mesh, g, A, kappa, reg, c1, c2, n_random, seed)
+
+
+def _vi_residual(mesh: Mesh, g: np.ndarray, A: np.ndarray, kappa: float,
+                 reg: Optional[Regularizer], c1: float, c2: float, n_random: int,
+                 seed: int) -> float:
+    """min over sampled a of (a - A) . g - kappa*(R(A) - R(a)), g the misfit gradient."""
+    A = np.asarray(A, dtype=float)
+    with_reg = kappa != 0.0 and reg is not None
+    if with_reg:
+        RA, _, _ = regularizer_eval(reg, mesh, A)
     worst = np.inf
     for a in _vi_samples(A, c1, c2, n_random, seed):
-        lhs = float((a - A) @ g)
-        rhs = 0.0
-        if kappa != 0.0 and reg is not None:
-            Ra, _, _ = regularizer_eval(reg, op.mesh, a)
-            rhs = kappa * (RA - Ra)
-        worst = min(worst, lhs - rhs)
+        rhs = kappa * (RA - regularizer_eval(reg, mesh, a)[0]) if with_reg else 0.0
+        worst = min(worst, float((a - A) @ g) - rhs)
     return worst
 
 

@@ -24,6 +24,11 @@ from .forward import (
 )
 from .mesh import Mesh
 
+ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the line search
+BACKTRACK = 0.5  # step shrink factor per rejected trial
+CG_MAX_ITERS = 200
+CG_TOL = 1e-8  # relative residual of the Newton-CG solve
+
 
 @dataclass
 class SolveOptions:
@@ -31,15 +36,8 @@ class SolveOptions:
     method: str = "projected_newton"  # or "projected_gradient"
     max_iters: int = 500
     grad_tol: float = 1e-8  # relative to the initial projected-gradient norm
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    warm_start: bool = True
-    cg_max_iters: int = 200
-    cg_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (0.0 < self.armijo_c1 < 1.0):
-            raise ValueError("Armijo c1 must lie in (0, 1)")
         if self.grad_tol <= 0 or self.max_iters <= 0:
             raise ValueError("tolerances must be positive")
 
@@ -78,7 +76,6 @@ class IdentificationProblem:
     c2: float = 10.0
     noise: noise_mod.NoiseSpec = noise_mod.NoiseSpec(seed=0)
     ell_mode: str = "zero"  # or "data-steered"
-    coercive_shift: float = 0.0
 
     def entry_data(self, entry):
         """Perturbed data vector and load for one schedule entry."""
@@ -89,8 +86,7 @@ class IdentificationProblem:
         return Z_d, P
 
     def operator(self, A, entry) -> RegularizedForwardOperator:
-        return RegularizedForwardOperator(self.mesh, A, eps=entry.eps, tau=entry.tau,
-                                          coercive_shift=self.coercive_shift)
+        return RegularizedForwardOperator(self.mesh, A, eps=entry.eps, tau=entry.tau)
 
 
 def project_box(A: np.ndarray, c1: float, c2: float) -> np.ndarray:
@@ -105,7 +101,9 @@ class _EntryObjective:
 
     Each evaluated state assembles its tensors once: L(V) for MOLS, L(V) and
     L(w) for OLS (w the adjoint state). MOLS also needs L(Z), which is fixed
-    for the entry. Every Hessian action reuses them.
+    for the entry. Every Hessian action reuses them. OLS builds L(w) on the
+    first Hessian action, so a state that is never asked for one (a rejected
+    line-search trial, a projected-gradient step) never builds it.
     """
 
     def __init__(self, problem: IdentificationProblem, entry, objective: str):
@@ -116,29 +114,30 @@ class _EntryObjective:
         if objective == "mols":
             self.LZ = assembly.assemble_L(problem.mesh, self.Z, entry.tau)
 
-    def evaluate(self, A, need_hessian=False):
+    def evaluate(self, A):
         pr = self.problem
         op = pr.operator(A, self.entry)
         V = op.solve_state(self.P)
         LV = op.L(V)
         kappa = self.entry.kappa
         reg_value, reg_grad, reg_hess = obj.regularizer_eval(pr.reg, pr.mesh, A)
-        hess = None
         if self.objective == "ols":
             misfit = obj.ols_value(op, V, self.Z)
             w_adj = op.solve_adjoint(V, self.Z)
-            grad = obj.ols_gradient_adjoint(op, LV, w_adj) + kappa * reg_grad
-            if need_hessian:
-                Lw = op.L(w_adj)
+            grad = obj.ols_gradient_adjoint(LV, w_adj) + kappa * reg_grad
+            Lw = None
 
-                def hess(d):
-                    return obj.ols_hessian_action(op, LV, Lw, d) + kappa * reg_hess(d)
+            def hess(d):
+                nonlocal Lw
+                if Lw is None:
+                    Lw = op.L(w_adj)
+                return obj.ols_hessian_action(op, LV, Lw, d) + kappa * reg_hess(d)
         else:
             misfit = obj.mols_value(op, V, self.Z)
             grad = obj.mols_gradient(LV, self.LZ, V, self.Z) + kappa * reg_grad
-            if need_hessian:
-                def hess(d):
-                    return obj.mols_hessian_action(op, LV, d) + kappa * reg_hess(d)
+
+            def hess(d):
+                return obj.mols_hessian_action(op, LV, d) + kappa * reg_hess(d)
         value = misfit + kappa * reg_value
         return value, grad, hess, V, op
 
@@ -177,7 +176,7 @@ def _minimize_entry(fun: _EntryObjective, A0, opts: SolveOptions, c1, c2):
     A = project_box(A0, c1, c2)
     log = []
     use_newton = opts.method == "projected_newton"
-    value, grad, hess, V, op = fun.evaluate(A, need_hessian=use_newton)
+    value, grad, hess, V, op = fun.evaluate(A)
     pg0 = np.linalg.norm(project_box(A - grad, c1, c2) - A)
     step = 1.0
     termination = "max_iters"
@@ -187,8 +186,8 @@ def _minimize_entry(fun: _EntryObjective, A0, opts: SolveOptions, c1, c2):
         if pg <= opts.grad_tol * max(pg0, 1e-300):
             termination = "grad_tol"
             break
-        if use_newton and hess is not None:
-            p = _cg(hess, grad, opts.cg_tol, opts.cg_max_iters)
+        if use_newton:
+            p = _cg(hess, grad, CG_TOL, CG_MAX_ITERS)
             if p @ grad >= 0:  # not a descent direction; fall back
                 p = -grad
         else:
@@ -202,19 +201,19 @@ def _minimize_entry(fun: _EntryObjective, A0, opts: SolveOptions, c1, c2):
             if np.linalg.norm(dA) == 0.0:
                 break
             try:
-                v_try, g_try, h_try, V_try, op_try = fun.evaluate(A_try, need_hessian=use_newton)
+                v_try, g_try, h_try, V_try, op_try = fun.evaluate(A_try)
             except SingularSystemError:
-                t *= opts.backtrack
+                t *= BACKTRACK
                 continue
-            if v_try <= value + opts.armijo_c1 * (grad @ dA):
+            if v_try <= value + ARMIJO_C1 * (grad @ dA):
                 accepted = True
                 break
-            t *= opts.backtrack
+            t *= BACKTRACK
         if not accepted:
             termination = "linesearch_failure"
             break
         # mild step growth keeps plain gradient steps from collapsing
-        step = min(t / opts.backtrack, 1e3) if not use_newton else 1.0
+        step = min(t / BACKTRACK, 1e3) if not use_newton else 1.0
         A, value, grad, hess, V, op = A_try, v_try, g_try, h_try, V_try, op_try
     else:
         it = opts.max_iters - 1
@@ -233,8 +232,7 @@ def minimize(problem: IdentificationProblem, schedule: RegularizationSchedule,
         fun = _EntryObjective(problem, entry, opts.objective)
         try:
             A_new, V, op, log, termination, iters = _minimize_entry(
-                fun, A if opts.warm_start else np.asarray(A0, dtype=float),
-                opts, problem.c1, problem.c2)
+                fun, A, opts, problem.c1, problem.c2)
         except SingularSystemError as err:
             return ReconstructionResult(
                 success=False,

@@ -47,7 +47,7 @@ def test_criterion_01_adjoint_direct_gradient_identity(small):
         op = RegularizedForwardOperator(small.mesh, A, eps=1e-3, tau=1e-4)
         V = op.solve_state(small.P)
         g_dir = obj.ols_gradient_direct(op, V, small.Z)
-        g_adj = obj.ols_gradient_adjoint(op, op.L(V), op.solve_adjoint(V, small.Z))
+        g_adj = obj.ols_gradient_adjoint(op.L(V), op.solve_adjoint(V, small.Z))
         worst = max(worst, np.linalg.norm(g_dir - g_adj) / np.linalg.norm(g_dir))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-12

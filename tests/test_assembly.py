@@ -3,7 +3,7 @@ import pytest
 import sympy as sym
 from hypothesis import given, settings, strategies as st
 
-from ellreg import assembly
+from ellreg import assembly, objectives as obj
 from ellreg.mesh import Mesh, build_unit_square
 
 
@@ -11,13 +11,7 @@ def _single_triangle_mesh(p0, p1, p2):
     nodes = np.array([p0, p1, p2], dtype=float)
     tris = np.array([[0, 1, 2]])
     edges = np.array([[0, 1], [1, 2], [2, 0]])
-    normals = np.zeros((3, 2))
-    for k, (i, j) in enumerate(edges):
-        t = nodes[j] - nodes[i]
-        nrm = np.array([t[1], -t[0]])
-        normals[k] = nrm / np.linalg.norm(nrm)
-    return Mesh(nodes=nodes, triangles=tris, boundary_edges=edges,
-                boundary_normals=normals, h=1.0)
+    return Mesh(nodes=nodes, triangles=tris, boundary_edges=edges, h=1.0)
 
 
 def _sympy_basis(p):
@@ -202,23 +196,14 @@ def test_load_compatibility_decreases():
     assert vals[2] <= vals[0] + 1e-12
 
 
-def test_admissible_parameter_box():
-    A = assembly.AdmissibleParameter(A=np.array([0.5, 1.0, 9.9]))
-    assert A.in_box()
-    B = assembly.AdmissibleParameter(A=np.array([0.01, 1.0]))
-    assert not B.in_box()
-    with pytest.raises(ValueError):
-        assembly.AdmissibleParameter(A=np.ones(3), c1=2.0, c2=1.0)
-
-
 def test_smoothed_tv_of_linear_field():
     mesh = build_unit_square(4)
     A = 2.0 * mesh.nodes[:, 0]  # |grad| = 2 everywhere
     beta = 1e-3
-    tv = assembly.smoothed_tv(mesh, A, beta)
+    tv, _, _ = obj.regularizer_eval(obj.Regularizer(kind="tv", beta=beta), mesh, A)
     assert tv == pytest.approx(np.sqrt(4.0 + beta**2), rel=1e-12)
     with pytest.raises(ValueError):
-        assembly.smoothed_tv(mesh, A, 0.0)
+        obj.Regularizer(kind="tv", beta=0.0)
 
 
 def test_dimension_mismatch_rejected():
@@ -236,7 +221,7 @@ def _random_mesh(n, rng):
     inside = (nodes > 0.0) & (nodes < 1.0)
     nodes += np.where(inside, rng.uniform(-0.1, 0.1, nodes.shape) / n, 0.0)
     return Mesh(nodes=nodes, triangles=base.triangles, boundary_edges=base.boundary_edges,
-                boundary_normals=base.boundary_normals, h=base.h)
+                h=base.h)
 
 
 _random_meshes = given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))

@@ -20,6 +20,14 @@ def test_table1_small_run(tmp_path, capsys):
     assert (tmp_path / "table1.csv.full.csv").exists()
 
 
+def test_table2_and_table3_small_runs(tmp_path):
+    assert main(["table2", "--n", "6", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "table2.csv").read_text().startswith("# objective=mols")
+    assert main(["table3", "--n", "6", "--delta", "1e-2", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "table3.csv").read_text().splitlines()
+    assert lines[1].startswith("delta,") and lines[2].startswith("1e-02,")
+
+
 def test_failure_exit_codes(tmp_path):
     assert main(["failure", "--eps", "0", "--n", "10"]) == 2
     assert main(["failure", "--eps", "1e-4", "--n", "10"]) == 0

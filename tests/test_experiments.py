@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from ellreg import experiments as exp
 from ellreg.mesh import build_unit_square
@@ -83,29 +82,3 @@ def test_failure_demo_statuses():
     assert rep1["status"] == "success"
     assert rep1["condition_estimate"] < 1e9
 
-
-def test_emit_field_roundtrip(tmp_path):
-    rng = np.random.Generator(np.random.Philox(key=40))
-    vals = rng.standard_normal(12)
-    path = tmp_path / "field.txt"
-    exp.emit_field(vals, 4, 3, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "4 3"
-    back, nx, ny = exp.read_field(path)
-    assert (nx, ny) == (4, 3)
-    assert np.array_equal(back, vals)  # 17 significant digits round-trip
-
-
-def test_emit_field_validation(tmp_path):
-    with pytest.raises(ValueError):
-        exp.emit_field(np.ones(5), 2, 3, tmp_path / "x.txt")
-    with pytest.raises(OSError):
-        exp.emit_field(np.ones(6), 2, 3, tmp_path / "no" / "such" / "dir.txt")
-
-
-def test_emit_field_deterministic_bytes(tmp_path):
-    vals = np.linspace(-1, 1, 6) * np.pi
-    p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-    exp.emit_field(vals, 3, 2, p1)
-    exp.emit_field(vals, 3, 2, p2)
-    assert p1.read_bytes() == p2.read_bytes()

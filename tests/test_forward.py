@@ -154,7 +154,7 @@ def test_riesz_dual_norm_definition(prob):
     W = assembly.assemble_s_matrix(mesh)
     rng = np.random.Generator(np.random.Philox(key=15))
     r = rng.standard_normal(mesh.node_count)
-    val = riesz_dual_norm(W, r)
+    val = riesz_dual_norm(mesh, r)
     q = np.linalg.solve(W.toarray(), r)
     assert val == pytest.approx(np.sqrt(r @ q), rel=1e-10)
 

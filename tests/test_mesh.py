@@ -3,7 +3,6 @@ import pytest
 
 from ellreg.mesh import (
     Mesh,
-    P1Space,
     build_unit_square,
     evaluate_p1,
     interpolate,
@@ -44,30 +43,17 @@ def test_gradients_reproduce_linear_functions():
     assert np.abs(mesh.grads.sum(axis=1)).max() == 0.0
 
 
-def test_boundary_normals_outward_unit():
-    mesh = build_unit_square(4)
-    lens = np.linalg.norm(mesh.boundary_normals, axis=1)
-    assert np.allclose(lens, 1.0)
-    mids = 0.5 * (mesh.nodes[mesh.boundary_edges[:, 0]]
-                  + mesh.nodes[mesh.boundary_edges[:, 1]])
-    # outward normal points away from the square's center
-    outward = np.einsum("ed,ed->e", mesh.boundary_normals, mids - 0.5)
-    assert np.all(outward > 0)
-
-
 def test_interpolate_and_evaluate():
     mesh = build_unit_square(6)
-    space = P1Space(mesh)
     f = lambda x, y: 1.5 * x - 0.5 * y + 2.0
-    coeffs = interpolate(space, f)
+    coeffs = interpolate(mesh, f)
     pts = np.array([[0.3, 0.7], [0.11, 0.64], [1.0, 0.0]])
     vals = evaluate_p1(mesh, coeffs, pts)
     assert np.allclose(vals, f(pts[:, 0], pts[:, 1]), atol=1e-12)
 
 
 def test_interpolate_constant_function():
-    space = P1Space(build_unit_square(3))
-    coeffs = interpolate(space, lambda x, y: np.float64(4.0))
+    coeffs = interpolate(build_unit_square(3), lambda x, y: np.float64(4.0))
     assert coeffs.shape == (16,)
     assert np.all(coeffs == 4.0)
 
@@ -84,17 +70,5 @@ def test_degenerate_triangle_rejected():
     tris = np.array([[0, 1, 2]])
     with pytest.raises(ValueError):
         Mesh(nodes=nodes, triangles=tris,
-             boundary_edges=np.zeros((0, 2), dtype=int),
-             boundary_normals=np.zeros((0, 2)), h=1.0)
+             boundary_edges=np.zeros((0, 2), dtype=int), h=1.0)
 
-
-def test_export_text_roundtrip(tmp_path):
-    mesh = build_unit_square(2)
-    path = tmp_path / "mesh.txt"
-    mesh.export_text(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "nodes 9 triangles 8"
-    xy = np.array([[float(t) for t in ln.split()] for ln in lines[1:10]])
-    assert np.array_equal(xy, mesh.nodes)
-    tris = np.array([[int(t) for t in ln.split()] for ln in lines[10:]])
-    assert np.array_equal(tris, mesh.triangles)

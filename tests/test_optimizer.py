@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ellreg import assembly, objectives as obj
+from ellreg import assembly, objectives as obj, optimizer
 from ellreg.experiments import ManufacturedProblem
 from ellreg.forward import (
     RegularizationSchedule,
@@ -106,9 +106,9 @@ def test_empty_schedule_rejected():
 
 def test_solve_options_validation():
     with pytest.raises(ValueError):
-        SolveOptions(armijo_c1=1.5)
-    with pytest.raises(ValueError):
         SolveOptions(max_iters=0)
+    with pytest.raises(ValueError):
+        SolveOptions(grad_tol=0.0)
 
 
 def test_ols_vi_residual_at_minimizer():
@@ -132,11 +132,11 @@ def test_data_steered_mode_changes_load():
 @pytest.mark.parametrize("objective", ["ols", "mols"])
 def test_tensors_assembled_once_per_state(objective, monkeypatch):
     # a Hessian action must reuse the tensors of its state: per operator
-    # (one per evaluated state) MOLS builds L(V) and OLS L(V) and L(w);
-    # MOLS also builds L(Z) once per schedule entry
+    # (one per evaluated state) both build L(V); OLS builds L(w) only for a
+    # state that takes a Newton step; MOLS also builds L(Z) once per entry
     prob, problem = _problem(8)
     sched = default_schedule(n_entries=2, eps0=1e-2)
-    counts = {"builds": 0, "operators": 0, "hessian_actions": 0}
+    counts = {"builds": 0, "operators": 0, "hessian_actions": 0, "newton_steps": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -149,9 +149,11 @@ def test_tensors_assembled_once_per_state(objective, monkeypatch):
                         counted("operators", IdentificationProblem.operator))
     action = f"{objective}_hessian_action"
     monkeypatch.setattr(obj, action, counted("hessian_actions", getattr(obj, action)))
+    monkeypatch.setattr(optimizer, "_cg", counted("newton_steps", optimizer._cg))
     res = minimize(problem, sched, SolveOptions(objective=objective),
                    np.full(prob.mesh.node_count, 5.05))
     assert res.success
-    per_state, per_entry = (2, 0) if objective == "ols" else (1, 1)
-    assert counts["builds"] <= per_state * counts["operators"] + per_entry * len(sched)
+    per_step, per_entry = (1, 0) if objective == "ols" else (0, 1)
+    assert counts["builds"] <= (counts["operators"] + per_step * counts["newton_steps"]
+                                + per_entry * len(sched))
     assert counts["hessian_actions"] > counts["builds"]

@@ -2,10 +2,12 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from ellreg import assembly
 from ellreg.experiments import ManufacturedProblem
 from ellreg.forward import default_schedule, solve_neumann_mean_zero
+from ellreg.noise import NoiseSpec, perturb_functional
 from ellreg.setvalued import ContingentProbe
 
 
@@ -91,3 +93,44 @@ def test_csv_columns(probe, tmp_path):
                        "sens_norm", "state_gap"]
     assert len(rows) == 1 + len(probe.records)
     assert float(rows[1][1]) == probe.records[0].eps
+
+
+def test_fixed_operands_assembled_once(monkeypatch):
+    # K(A_bar), K(dA) and K(dA2) are built per probe, so an entry assembles
+    # L only for its sensitivity and second-sensitivity right-hand sides
+    prob = ManufacturedProblem.build(6)
+    rng = np.random.Generator(np.random.Philox(key=33))
+    sched = default_schedule(n_entries=4)
+    builds = []
+    assemble_L = assembly.assemble_L
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return assemble_L(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "assemble_L", counted)
+    p = ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P,
+                        dA=rng.uniform(-1, 1, prob.mesh.node_count), schedule=sched)
+    p.run()
+    assert len(builds) <= 3 * len(sched)
+
+
+def test_s_matrix_factorized_once_per_mesh(monkeypatch):
+    prob = ManufacturedProblem.build(6)
+    W = assembly.shared_s_matrix(prob.mesh)
+    factorized = []
+    splu = spla.splu
+
+    def counted(a, *args, **kwargs):
+        if a.shape == W.shape and (a != W).nnz == 0:
+            factorized.append(1)
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    rng = np.random.Generator(np.random.Philox(key=34))
+    for _ in range(2):
+        ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P,
+                        dA=rng.uniform(-1, 1, prob.mesh.node_count),
+                        schedule=default_schedule(n_entries=2)).run()
+    perturb_functional(prob.P, prob.mesh, NoiseSpec(seed=0, nu=1e-3))
+    assert len(factorized) == 1
