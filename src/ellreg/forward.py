@@ -195,17 +195,23 @@ def mean_zero_projection(v: np.ndarray) -> np.ndarray:
 
 
 def solve_neumann_mean_zero(mesh: Mesh, A: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Saddle-point oracle: unregularized pure-Neumann solve with int u = 0.
+    """Unregularized pure-Neumann solve K(A) u = P with the mean-zero constraint c.u = 0.
 
-    Solves [[K(A), M*1], [(M*1)^T, 0]] [u; lam] = [P; 0]; the Lagrange
-    multiplier enforces the mean-zero constraint.
+    This is the saddle-point system [[K(A), c], [c^T, 0]] [u; lam] = [P; 0]
+    with c = M*1, solved without its dense border: the multiplier is
+    lam = (1.P)/(1.c), so u solves K(A) u = P - lam*c, a compatible load.
+    K(A) annihilates constants, so node 0 is pinned, K[1:, 1:] is factorized
+    as the forward operator is, and the result is shifted to c.u = 0.
     """
     K = assembly.assemble_stiffness(mesh, A)
     c = assembly.shared_mass(mesh) @ np.ones(mesh.node_count)
-    sys = sp.bmat([[K, c[:, None]], [c[None, :], None]], format="csc")
-    rhs = np.concatenate([np.asarray(P, dtype=float), [0.0]])
-    sol = spla.splu(sys).solve(rhs)
-    return sol[:-1]
+    P = np.asarray(P, dtype=float)
+    rhs = P - c * (P.sum() / c.sum())
+    lu = spla.splu(K[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   options={"SymmetricMode": True})
+    u = np.zeros(mesh.node_count)
+    u[1:] = lu.solve(rhs[1:])
+    return u - (c @ u) / c.sum()
 
 
 def minimum_s_norm_selection(mesh: Mesh, u_particular: np.ndarray) -> np.ndarray:

@@ -155,6 +155,22 @@ def mols_hessian_action(op: RegularizedForwardOperator, LV: sp.csr_matrix,
     return LV.T @ op.solve(LV @ dA)
 
 
+def mols_preconditioner(mesh: Mesh, A: np.ndarray, V: np.ndarray, kappa: float) -> np.ndarray:
+    """Jacobi preconditioner for the MOLS Hessian: diag(M_w) + kappa*diag(W).
+
+    M_w is the P1 mass matrix weighted per triangle by w_T = |grad V_T|^2 / mean(A_T),
+    the Gram matrix of the order-0 bound
+    dA . L(V)^T G^-1 L(V) dA <= int dA^2 |grad V|^2 / a; the tau mass term is
+    left out. Its diagonal entry at node i sums |T| w_T / 6 over the
+    triangles T holding i. Positive when kappa > 0.
+    """
+    tris = mesh.triangles
+    gv = np.einsum("tid,ti->td", mesh.grads, np.asarray(V, dtype=float)[tris])
+    w = mesh.areas * np.sum(gv * gv, axis=1) / np.asarray(A, dtype=float)[tris].mean(axis=1)
+    diag_mw = mesh.scatter_add(tris, np.repeat(w[:, None] / 6.0, 3, axis=1))
+    return diag_mw + kappa * assembly.shared_s_matrix(mesh).diagonal()
+
+
 def mols_hessian_dense(op: RegularizedForwardOperator, V: np.ndarray) -> np.ndarray:
     """Dense L(V)^T G^-1 L(V); small meshes only."""
     LV = _dense_L(op, np.asarray(V, dtype=float))

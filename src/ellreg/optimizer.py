@@ -4,7 +4,8 @@ along a regularization schedule.
 Projected gradient with Armijo backtracking is the robust default;
 projected Newton uses the exact Hessian action through conjugate gradients
 with negative-curvature detection (OLS is not convex, so indefiniteness is
-handled by a diagonal shift rather than pretended away).
+handled by a diagonal shift rather than pretended away). MOLS CG is
+Jacobi-preconditioned with ``objectives.mols_preconditioner``.
 """
 
 from __future__ import annotations
@@ -44,10 +45,14 @@ class SolveOptions:
 
 @dataclass
 class EntryLogRow:
+    """One iterate of an entry and the step taken from it (none from the last)."""
+
     iteration: int
     objective: float
     pg_norm: float
     step: float
+    cg_iters: int = 0  # Hessian actions spent on the step direction
+    trials: int = 0  # line-search trials, including those skipped as repeats
 
 
 @dataclass
@@ -97,13 +102,15 @@ def project_box(A: np.ndarray, c1: float, c2: float) -> np.ndarray:
 
 
 class _EntryObjective:
-    """Value/gradient/Hessian-action of one schedule entry's composite objective.
+    """Value, gradient and Hessian action of one schedule entry's composite objective.
 
-    Each evaluated state assembles its tensors once: L(V) for MOLS, L(V) and
-    L(w) for OLS (w the adjoint state). MOLS also needs L(Z), which is fixed
-    for the entry. Every Hessian action reuses them. OLS builds L(w) on the
-    first Hessian action, so a state that is never asked for one (a rejected
-    line-search trial, a projected-gradient step) never builds it.
+    ``evaluate`` computes what a line-search trial needs: the operator, the
+    state and the value. ``derivatives`` adds the rest for an accepted
+    state, assembling its tensors once: L(V) for MOLS, L(V) and L(w) for OLS
+    (w the adjoint state). MOLS also needs L(Z), which is fixed for the
+    entry. Every Hessian action reuses them. OLS builds L(w) on the first
+    Hessian action, so a state that is never asked for one (a final iterate,
+    a projected-gradient step) never builds it.
     """
 
     def __init__(self, problem: IdentificationProblem, entry, objective: str):
@@ -115,14 +122,25 @@ class _EntryObjective:
             self.LZ = assembly.assemble_L(problem.mesh, self.Z, entry.tau)
 
     def evaluate(self, A):
+        """Return (value, state) at A; ``state`` is what ``derivatives`` reads."""
         pr = self.problem
         op = pr.operator(A, self.entry)
         V = op.solve_state(self.P)
+        misfit_value = obj.ols_value if self.objective == "ols" else obj.mols_value
+        reg = obj.regularizer_eval(pr.reg, pr.mesh, A)
+        value = misfit_value(op, V, self.Z) + self.entry.kappa * reg[0]
+        return value, (A, V, op, reg)
+
+    def derivatives(self, state):
+        """Return (gradient, Hessian action, CG preconditioner) at an evaluated state.
+
+        The preconditioner is a positive diagonal for MOLS and None for OLS.
+        """
+        A, V, op, (_, reg_grad, reg_hess) = state
+        pr = self.problem
         LV = op.L(V)
         kappa = self.entry.kappa
-        reg_value, reg_grad, reg_hess = obj.regularizer_eval(pr.reg, pr.mesh, A)
         if self.objective == "ols":
-            misfit = obj.ols_value(op, V, self.Z)
             w_adj = op.solve_adjoint(V, self.Z)
             grad = obj.ols_gradient_adjoint(LV, w_adj) + kappa * reg_grad
             Lw = None
@@ -132,62 +150,79 @@ class _EntryObjective:
                 if Lw is None:
                     Lw = op.L(w_adj)
                 return obj.ols_hessian_action(op, LV, Lw, d) + kappa * reg_hess(d)
-        else:
-            misfit = obj.mols_value(op, V, self.Z)
-            grad = obj.mols_gradient(LV, self.LZ, V, self.Z) + kappa * reg_grad
 
-            def hess(d):
-                return obj.mols_hessian_action(op, LV, d) + kappa * reg_hess(d)
-        value = misfit + kappa * reg_value
-        return value, grad, hess, V, op
+            # OLS CG runs unpreconditioned: the MOLS diagonal slows it down,
+            # and kappa*diag(W) alone does not speed it up
+            return grad, hess, None
+        grad = obj.mols_gradient(LV, self.LZ, V, self.Z) + kappa * reg_grad
+
+        def hess(d):
+            return obj.mols_hessian_action(op, LV, d) + kappa * reg_hess(d)
+
+        D = obj.mols_preconditioner(pr.mesh, A, V, kappa)
+        # at kappa = 0 a node where V is locally constant gets a zero entry
+        return grad, hess, D if np.all(D > 0) else None
 
 
-def _cg(hess, g, tol, max_iters):
-    """CG on H p = -g with negative-curvature handling via a diagonal shift."""
+def _cg(hess, g, tol, max_iters, diag=None):
+    """Jacobi-preconditioned CG on H p = -g, with negative curvature handled by a shift.
+
+    ``diag`` is a positive diagonal approximating H (None: plain CG). The
+    stopping test reads the unpreconditioned residual, |r| <= tol*|g|, so
+    the preconditioner changes the work, not the accuracy. When a direction
+    shows nonpositive curvature, CG restarts on H + shift*I. Returns the
+    direction and the number of Hessian actions spent on it.
+    """
     shift = 0.0
+    actions = 0
     for _attempt in range(3):
         p = np.zeros_like(g)
         r = -g.copy()
-        d = r.copy()
-        rr = r @ r
-        rr0 = rr
+        z = r if diag is None else r / diag
+        d = z.copy()
+        rz = r @ z
+        rr0 = r @ r
         neg_curv = None
         for _ in range(max_iters):
             Hd = hess(d) + shift * d
+            actions += 1
             dHd = d @ Hd
             if dHd <= 1e-14 * (d @ d):
                 neg_curv = abs(dHd) / max(d @ d, 1e-300)
                 break
-            alpha = rr / dHd
+            alpha = rz / dHd
             p = p + alpha * d
             r = r - alpha * Hd
-            rr_new = r @ r
-            if rr_new <= tol * tol * rr0:
+            if r @ r <= tol * tol * rr0:
                 break
-            d = r + (rr_new / rr) * d
-            rr = rr_new
+            z = r if diag is None else r / diag
+            rz_new = r @ z
+            d = z + (rz_new / rz) * d
+            rz = rz_new
         if neg_curv is None:
-            return p
+            return p, actions
         shift = max(2.0 * shift, neg_curv + 1e-8)
-    return p
+    return p, actions
 
 
 def _minimize_entry(fun: _EntryObjective, A0, opts: SolveOptions, c1, c2):
     A = project_box(A0, c1, c2)
     log = []
     use_newton = opts.method == "projected_newton"
-    value, grad, hess, V, op = fun.evaluate(A)
+    value, state = fun.evaluate(A)
+    grad, hess, diag = fun.derivatives(state)
     pg0 = np.linalg.norm(project_box(A - grad, c1, c2) - A)
     step = 1.0
     termination = "max_iters"
     for it in range(opts.max_iters):
         pg = np.linalg.norm(project_box(A - grad, c1, c2) - A)
-        log.append(EntryLogRow(it, value, pg, step))
+        row = EntryLogRow(it, value, pg, step)
+        log.append(row)
         if pg <= opts.grad_tol * max(pg0, 1e-300):
             termination = "grad_tol"
             break
         if use_newton:
-            p = _cg(hess, grad, CG_TOL, CG_MAX_ITERS)
+            p, row.cg_iters = _cg(hess, grad, CG_TOL, CG_MAX_ITERS, diag)
             if p @ grad >= 0:  # not a descent direction; fall back
                 p = -grad
         else:
@@ -195,28 +230,37 @@ def _minimize_entry(fun: _EntryObjective, A0, opts: SolveOptions, c1, c2):
         # Armijo backtracking along the projection arc
         t = step if not use_newton else 1.0
         accepted = False
+        rejected = None  # the last rejected trial point
         for _ in range(60):
             A_try = project_box(A + t * p, c1, c2)
             dA = A_try - A
             if np.linalg.norm(dA) == 0.0:
                 break
-            try:
-                v_try, g_try, h_try, V_try, op_try = fun.evaluate(A_try)
-            except SingularSystemError:
+            row.trials += 1
+            # the projection maps several t to one point; its evaluation is
+            # deterministic, so a point once rejected is rejected again
+            if rejected is not None and np.array_equal(A_try, rejected):
                 t *= BACKTRACK
                 continue
+            try:
+                v_try, s_try = fun.evaluate(A_try)
+            except SingularSystemError:
+                v_try = np.inf
             if v_try <= value + ARMIJO_C1 * (grad @ dA):
                 accepted = True
                 break
+            rejected = A_try
             t *= BACKTRACK
         if not accepted:
             termination = "linesearch_failure"
             break
         # mild step growth keeps plain gradient steps from collapsing
         step = min(t / BACKTRACK, 1e3) if not use_newton else 1.0
-        A, value, grad, hess, V, op = A_try, v_try, g_try, h_try, V_try, op_try
+        A, value, state = A_try, v_try, s_try
+        grad, hess, diag = fun.derivatives(state)
     else:
         it = opts.max_iters - 1
+    _, V, op, _ = state
     return A, V, op, log, termination, it + 1
 
 

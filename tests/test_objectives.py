@@ -4,7 +4,7 @@ import pytest
 from ellreg import assembly, objectives as obj
 from ellreg.experiments import ManufacturedProblem
 from ellreg.forward import RegularizedForwardOperator, ScheduleEntry
-from ellreg.mesh import build_unit_square
+from ellreg.mesh import Mesh, build_unit_square
 from ellreg.optimizer import IdentificationProblem, _EntryObjective
 
 
@@ -135,10 +135,38 @@ def test_gradient_with_regularizer_term(setup):
     problem = IdentificationProblem(mesh=prob.mesh, P_exact=prob.P, Z_exact=prob.Z,
                                     reg=obj.Regularizer(kind="h1"))
     entry = ScheduleEntry(eps=op.eps, tau=op.tau, nu=0.0, delta=0.0, kappa=kappa)
-    _, g, _, _, _ = _EntryObjective(problem, entry, "ols").evaluate(A)
+    fun = _EntryObjective(problem, entry, "ols")
+    g, _, _ = fun.derivatives(fun.evaluate(A)[1])
     g_plain = obj.ols_gradient_adjoint(op.L(V), op.solve_adjoint(V, prob.Z))
     W = assembly.assemble_s_matrix(prob.mesh)
     assert np.allclose(g, g_plain + kappa * (W @ A), atol=1e-13)
+
+
+def test_mols_preconditioner_is_weighted_mass_diagonal():
+    # diag of the P1 mass matrix weighted by |grad V|^2 / mean(a) per
+    # triangle, plus kappa*diag(W); gradients here come from each
+    # triangle's plane through its three nodes
+    rng = np.random.Generator(np.random.Philox(key=22))
+    base = build_unit_square(5)
+    nodes = base.nodes.copy()
+    inside = (nodes > 0.0) & (nodes < 1.0)
+    nodes += np.where(inside, rng.uniform(-0.02, 0.02, nodes.shape), 0.0)
+    mesh = Mesh(nodes=nodes, triangles=base.triangles,
+                boundary_edges=base.boundary_edges, h=base.h)
+    A = rng.uniform(0.5, 2.0, size=mesh.node_count)
+    V = rng.standard_normal(mesh.node_count)
+    kappa = 1e-3
+    p = mesh.nodes[mesh.triangles]
+    Vt = V[mesh.triangles]
+    edges = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=1)
+    gradV = np.linalg.solve(edges, np.stack([Vt[:, 1] - Vt[:, 0], Vt[:, 2] - Vt[:, 0]],
+                                            axis=1)[..., None])[..., 0]
+    weight = np.sum(gradV**2, axis=1) / A[mesh.triangles].mean(axis=1)
+    base_mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    Mw = mesh.scatter_csr((weight * mesh.areas)[:, None, None] * base_mass)
+    expected = Mw.diagonal() + kappa * assembly.assemble_s_matrix(mesh).diagonal()
+    D = obj.mols_preconditioner(mesh, A, V, kappa)
+    assert np.max(np.abs(D - expected)) <= 1e-14 * np.max(expected)
 
 
 def test_vi_residual_nonnegative_at_minimizer():

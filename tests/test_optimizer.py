@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ellreg import assembly, objectives as obj, optimizer
-from ellreg.experiments import ManufacturedProblem
+from ellreg.experiments import ExperimentConfig, ManufacturedProblem, run_cell
 from ellreg.forward import (
     RegularizationSchedule,
     ScheduleEntry,
@@ -152,8 +152,57 @@ def test_tensors_assembled_once_per_state(objective, monkeypatch):
     monkeypatch.setattr(optimizer, "_cg", counted("newton_steps", optimizer._cg))
     res = minimize(problem, sched, SolveOptions(objective=objective),
                    np.full(prob.mesh.node_count, 5.05))
-    assert res.success
+    assert res.success and res.termination == "grad_tol"
+    # a log row per state that got derivatives: the start of each entry and
+    # every accepted trial; a rejected trial builds no tensor
+    states = sum(len(log) for log in res.entry_logs)
     per_step, per_entry = (1, 0) if objective == "ols" else (0, 1)
-    assert counts["builds"] <= (counts["operators"] + per_step * counts["newton_steps"]
+    assert counts["builds"] <= (states + per_step * counts["newton_steps"]
                                 + per_entry * len(sched))
+    assert counts["operators"] > states
     assert counts["hessian_actions"] > counts["builds"]
+
+
+def test_cg_preconditioned_direction_matches_plain():
+    rng = np.random.Generator(np.random.Philox(key=30))
+    Q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    H = (Q * np.geomspace(1.0, 100.0, 20)) @ Q.T
+    g = rng.standard_normal(20)
+    diag = rng.uniform(0.5, 50.0, size=20)
+    p_plain, _ = optimizer._cg(lambda d: H @ d, g, optimizer.CG_TOL, optimizer.CG_MAX_ITERS)
+    p_jacobi, _ = optimizer._cg(lambda d: H @ d, g, optimizer.CG_TOL, optimizer.CG_MAX_ITERS,
+                                diag)
+    assert np.linalg.norm(p_jacobi - p_plain) <= 1e-6 * np.linalg.norm(p_plain)
+    assert np.linalg.norm(H @ p_plain + g) <= 1e-6 * np.linalg.norm(g)
+    # negative curvature: CG restarts on a shifted H and still descends
+    for d in (None, diag):
+        p, actions = optimizer._cg(lambda v: -v, g, optimizer.CG_TOL,
+                                   optimizer.CG_MAX_ITERS, d)
+        assert p @ g < 0
+        assert actions >= 2
+
+
+@pytest.mark.parametrize("n", [30, 60])
+def test_mols_cg_work_per_newton_step(n):
+    result, _, _ = run_cell(ExperimentConfig(objective="mols", seed=0), n, 1e-3)
+    assert result.termination == "grad_tol"
+    steps = result.entry_logs[0][:-1]  # the last row met grad_tol and took no step
+    assert all(row.trials >= 1 for row in steps)
+    assert np.mean([row.cg_iters for row in steps]) <= 65
+
+
+def test_rejected_trial_point_not_evaluated_again(monkeypatch):
+    # projected trials at successive t often clamp to the same point
+    seen = []
+    evaluate = optimizer._EntryObjective.evaluate
+
+    def recorded(self, A):
+        seen.append(np.asarray(A).tobytes())
+        return evaluate(self, A)
+
+    monkeypatch.setattr(optimizer._EntryObjective, "evaluate", recorded)
+    result, _, _ = run_cell(ExperimentConfig(objective="mols", seed=0), 30, 1e-3)
+    assert result.termination == "grad_tol"
+    assert all(a != b for a, b in zip(seen, seen[1:]))
+    # some trials were skipped
+    assert len(seen) < 1 + sum(row.trials for row in result.entry_logs[0])
