@@ -85,10 +85,12 @@ class RegularizedForwardOperator:
     """Factorized handle for [K_tau(A) + (coercive_shift + eps) W] at fixed (A, eps, tau).
 
     Immutable after factorization; repeated solves reuse the factorization.
+    ``K_tau`` is K_tau(A) at this tau when the caller has it assembled
+    already; otherwise it is assembled here.
     """
 
     def __init__(self, mesh: Mesh, A: np.ndarray, eps: float, tau: float = 0.0,
-                 coercive_shift: float = 0.0):
+                 coercive_shift: float = 0.0, K_tau: sp.csr_matrix = None):
         if eps < 0:
             raise ValueError("eps must be nonnegative")
         if tau < 0:
@@ -98,7 +100,9 @@ class RegularizedForwardOperator:
         self.eps = float(eps)
         self.tau = float(tau)
         self.coercive_shift = float(coercive_shift)
-        self.K_tau = assembly.assemble_perturbed_stiffness(mesh, self.A, tau)
+        if K_tau is None:
+            K_tau = assembly.assemble_perturbed_stiffness(mesh, self.A, tau)
+        self.K_tau = K_tau
         self.W = assembly.shared_s_matrix(mesh)
         self.M = assembly.shared_mass(mesh)
         self.system = (self.K_tau + (self.eps + self.coercive_shift) * self.W).tocsc()
@@ -165,15 +169,18 @@ class RegularizedForwardOperator:
         """The tensor L(V) at this operator's tau: L(V) @ dA = K_tau(dA) @ V."""
         return assembly.assemble_L(self.mesh, V, self.tau)
 
-    def solve_sensitivity(self, V: np.ndarray, dA: np.ndarray) -> np.ndarray:
-        """First-order sensitivity: [K_tau(A)+eps*W] dV = -K_tau(dA) V = -L(V) dA."""
-        rhs = -assembly.apply_L(self.mesh, V, np.asarray(dA, dtype=float), self.tau)
-        return self.solve(rhs)
+    def solve_sensitivity(self, V: np.ndarray, K_dA: sp.csr_matrix) -> np.ndarray:
+        """First-order sensitivity: [K_tau(A)+eps*W] dV = -K_tau(dA) V.
 
-    def solve_second_sensitivity(self, V, dA1, dA2, dV1, dV2) -> np.ndarray:
-        """Second-order sensitivity: rhs = -K_tau(dA2) dV1 - K_tau(dA1) dV2."""
-        rhs = -assembly.apply_L(self.mesh, dV1, np.asarray(dA2, dtype=float), self.tau)
-        rhs -= assembly.apply_L(self.mesh, dV2, np.asarray(dA1, dtype=float), self.tau)
+        ``K_dA`` is the direction operator K_tau(dA), at this operator's tau.
+        """
+        return self.solve(-(K_dA @ V))
+
+    def solve_second_sensitivity(self, K_dA1, K_dA2, dV1, dV2) -> np.ndarray:
+        """Second-order sensitivity: rhs = -K_tau(dA2) dV1 - K_tau(dA1) dV2,
+        with the direction operators K_tau(dA1), K_tau(dA2) assembled."""
+        rhs = -(K_dA2 @ dV1)
+        rhs -= K_dA1 @ dV2
         return self.solve(rhs)
 
     def solve_adjoint(self, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -194,16 +201,16 @@ def mean_zero_projection(v: np.ndarray) -> np.ndarray:
     return v - v.mean()
 
 
-def solve_neumann_mean_zero(mesh: Mesh, A: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Unregularized pure-Neumann solve K(A) u = P with the mean-zero constraint c.u = 0.
+def solve_neumann_mean_zero(mesh: Mesh, K: sp.csr_matrix, P: np.ndarray) -> np.ndarray:
+    """Unregularized pure-Neumann solve K u = P with the mean-zero constraint c.u = 0,
+    K = K(A) the assembled stiffness matrix.
 
-    This is the saddle-point system [[K(A), c], [c^T, 0]] [u; lam] = [P; 0]
+    This is the saddle-point system [[K, c], [c^T, 0]] [u; lam] = [P; 0]
     with c = M*1, solved without its dense border: the multiplier is
-    lam = (1.P)/(1.c), so u solves K(A) u = P - lam*c, a compatible load.
-    K(A) annihilates constants, so node 0 is pinned, K[1:, 1:] is factorized
+    lam = (1.P)/(1.c), so u solves K u = P - lam*c, a compatible load.
+    K annihilates constants, so node 0 is pinned, K[1:, 1:] is factorized
     as the forward operator is, and the result is shifted to c.u = 0.
     """
-    K = assembly.assemble_stiffness(mesh, A)
     c = assembly.shared_mass(mesh) @ np.ones(mesh.node_count)
     P = np.asarray(P, dtype=float)
     rhs = P - c * (P.sum() / c.sum())

@@ -14,6 +14,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import assembly
 from .forward import (
@@ -37,6 +38,11 @@ class ProbeRecord:
     state_gap: float
 
 
+def _perturbed(K: sp.csr_matrix, M_a: sp.csr_matrix, tau: float) -> sp.csr_matrix:
+    """K_tau(a) = K(a) + tau*M_a, summed as assembly.assemble_perturbed_stiffness does."""
+    return K if tau == 0.0 else (K + tau * M_a).tocsr()
+
+
 @dataclass
 class ContingentProbe:
     """Drives the regularized map to its limit at a fixed base point.
@@ -44,8 +50,9 @@ class ContingentProbe:
     ``coercive`` switches the base operator from pure-Neumann K(A) to the
     coercive surrogate K(A) + W; in the coercive case the base solution is a
     plain solve, otherwise the mean-zero representative from the saddle-point
-    oracle. The base operator and K(dA), K(dA2) are fixed per probe and
-    assembled once.
+    oracle. A_bar, dA and dA2 are fixed per probe, so their stiffness and
+    a-weighted mass matrices are assembled once; each schedule entry forms
+    K_tau = K + tau*M_a from them with sparse adds.
     """
 
     mesh: Mesh
@@ -58,22 +65,30 @@ class ContingentProbe:
     records: list = field(default_factory=list)
 
     def __post_init__(self):
+        mesh = self.mesh
         self.A_bar = np.asarray(self.A_bar, dtype=float)
         self.dA = np.asarray(self.dA, dtype=float)
         if self.dA2 is None:
             self.dA2 = self.dA
         self.dA2 = np.asarray(self.dA2, dtype=float)
-        self.W = assembly.shared_s_matrix(self.mesh)
-        self.K_bar = assembly.assemble_stiffness(self.mesh, self.A_bar)
+        self.W = assembly.shared_s_matrix(mesh)
+        self.K_A = assembly.assemble_stiffness(mesh, self.A_bar)
+        self.M_A = assembly.assemble_weighted_mass(mesh, self.A_bar)
+        self.K_dA = assembly.assemble_stiffness(mesh, self.dA)
+        self.M_dA = assembly.assemble_weighted_mass(mesh, self.dA)
+        if self.dA2 is self.dA:
+            self.K_dA2, self.M_dA2 = self.K_dA, self.M_dA
+        else:
+            self.K_dA2 = assembly.assemble_stiffness(mesh, self.dA2)
+            self.M_dA2 = assembly.assemble_weighted_mass(mesh, self.dA2)
         if self.coercive:
-            self.K_bar = (self.K_bar + self.W).tocsr()
-            op0 = RegularizedForwardOperator(self.mesh, self.A_bar, eps=0.0, coercive_shift=1.0)
+            self.K_bar = (self.K_A + self.W).tocsr()
+            op0 = RegularizedForwardOperator(mesh, self.A_bar, eps=0.0,
+                                             coercive_shift=1.0, K_tau=self.K_A)
             self.u_bar = op0.solve_state(self.P)
         else:
-            self.u_bar = solve_neumann_mean_zero(self.mesh, self.A_bar, self.P)
-        self.K_dA = assembly.assemble_stiffness(self.mesh, self.dA)
-        self.K_dA2 = (self.K_dA if self.dA2 is self.dA
-                      else assembly.assemble_stiffness(self.mesh, self.dA2))
+            self.K_bar = self.K_A
+            self.u_bar = solve_neumann_mean_zero(mesh, self.K_A, self.P)
 
     def run(self) -> list:
         """Solve state/sensitivity/second-sensitivity at every schedule entry."""
@@ -84,13 +99,19 @@ class ContingentProbe:
             op = RegularizedForwardOperator(
                 self.mesh, self.A_bar, eps=entry.eps, tau=entry.tau,
                 coercive_shift=float(self.coercive),
+                K_tau=_perturbed(self.K_A, self.M_A, entry.tau),
             )
+            K1 = _perturbed(self.K_dA, self.M_dA, entry.tau)
             V = op.solve_state(self.P)
-            dV1 = op.solve_sensitivity(V, self.dA)
-            dV_tilde = dV1 if self.dA2 is self.dA else op.solve_sensitivity(V, self.dA2)
+            dV1 = op.solve_sensitivity(V, K1)
+            if self.dA2 is self.dA:
+                dV_tilde = dV1
+            else:
+                dV_tilde = op.solve_sensitivity(
+                    V, _perturbed(self.K_dA2, self.M_dA2, entry.tau))
             # second-order expansion of u_eps along a(t) = A_bar + t*dA + t^2/2*dA2:
             # the pure second derivative in (dA, dA) plus the first derivative in dA2
-            d2V = op.solve_second_sensitivity(V, self.dA, self.dA, dV1, dV1) + dV_tilde
+            d2V = op.solve_second_sensitivity(K1, K1, dV1, dV1) + dV_tilde
             self._sens.append(dV1)
             self._sens2.append(d2V)
             gap = self._energy_norm(V - self.u_bar)

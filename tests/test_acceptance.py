@@ -127,7 +127,7 @@ def test_criterion_03_mols_convexity(small):
         min_eig = min(min_eig, lam)
         assert lam >= -1e-10
         dA = rng.standard_normal(mesh.node_count)
-        dV = op.solve_sensitivity(V, dA)
+        dV = op.solve_sensitivity(V, assembly.assemble_stiffness(mesh, dA))
         lower = eps * float(dV @ (W @ dV))
         assert dA @ (H @ dA) >= lower - 1e-10 * max(abs(lower), 1.0)
     _report(3, f"MOLS Hessian PSD over 20 points (min eig {min_eig:.1e}) "

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 import sympy as sym
-from hypothesis import given, settings, strategies as st
 
 from ellreg import assembly, objectives as obj
 from ellreg.mesh import Mesh, build_unit_square
+from jittered import examples, random_mesh, random_meshes
 
 
 def _single_triangle_mesh(p0, p1, p2):
@@ -120,19 +120,25 @@ def test_stiffness_spd_on_mean_zero_complement():
     assert w[1] > 1e-6                # positive on the complement
 
 
-def test_element_row_sums_exactly_zero():
+@examples
+@random_meshes
+def test_element_row_sums_exactly_zero(n, seed):
     # the element diagonal is built as the negative off-diagonal sum, so
-    # (e_ij + e_ik) + e_ii cancels exactly in floating point
-    mesh = build_unit_square(6)
-    rng = np.random.Generator(np.random.Philox(key=5))
+    # (e_ij + e_ik) + e_ii cancels exactly in floating point. On the mesh
+    # with every triangle's nodes split apart, K(A) is block diagonal and
+    # each block is one element matrix, unsummed.
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    mesh = random_mesh(n, rng)
     A = rng.uniform(0.1, 10.0, size=mesh.node_count)
-    mean_a = A[mesh.triangles].mean(axis=1)
-    gg = np.einsum("tid,tjd->tij", mesh.grads, mesh.grads)
-    elem = (mesh.areas * mean_a)[:, None, None] * gg
+    T = len(mesh.triangles)
+    split = Mesh(nodes=mesh.nodes[mesh.triangles].reshape(-1, 2),
+                 triangles=np.arange(3 * T).reshape(T, 3),
+                 boundary_edges=np.empty((0, 2), dtype=int), h=mesh.h)
+    K = assembly.assemble_stiffness(split, A[mesh.triangles].ravel()).toarray()
+    blocks = np.stack([K[3 * t:3 * t + 3, 3 * t:3 * t + 3] for t in range(T)])
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        diag = -(elem[:, i, j] + elem[:, i, k])
-        assert np.all((elem[:, i, j] + elem[:, i, k]) + diag == 0.0)
+        assert np.all((blocks[:, i, j] + blocks[:, i, k]) + blocks[:, i, i] == 0.0)
 
 
 def test_perturbed_stiffness_adds_weighted_mass():
@@ -214,25 +220,11 @@ def test_dimension_mismatch_rejected():
         assembly.apply_L(mesh, np.ones(mesh.node_count), np.ones(3))
 
 
-def _random_mesh(n, rng):
-    """build_unit_square(n) with every interior coordinate jittered by up to 0.1/n."""
-    base = build_unit_square(n)
-    nodes = base.nodes.copy()
-    inside = (nodes > 0.0) & (nodes < 1.0)
-    nodes += np.where(inside, rng.uniform(-0.1, 0.1, nodes.shape) / n, 0.0)
-    return Mesh(nodes=nodes, triangles=base.triangles, boundary_edges=base.boundary_edges,
-                h=base.h)
-
-
-_random_meshes = given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-_examples = settings(max_examples=30, deadline=None)
-
-
-@_examples
-@_random_meshes
+@examples
+@random_meshes
 def test_scatter_matches_add_at(n, seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
-    mesh = _random_mesh(n, rng)
+    mesh = random_mesh(n, rng)
     tris = mesh.triangles
     elem = rng.standard_normal((len(tris), 3, 3))
     dense = np.zeros((mesh.node_count, mesh.node_count))
@@ -247,11 +239,11 @@ def test_scatter_matches_add_at(n, seed):
     assert np.array_equal(mesh.scatter_add(tris, contrib), vec)
 
 
-@_examples
-@_random_meshes
+@examples
+@random_meshes
 def test_assembled_L_is_the_tensor(n, seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
-    mesh = _random_mesh(n, rng)
+    mesh = random_mesh(n, rng)
     for tau in (0.0, float(rng.uniform(0.0, 1.0))):
         V, U = rng.standard_normal((2, mesh.node_count))
         dA = rng.uniform(-1.0, 2.0, size=mesh.node_count)
@@ -263,11 +255,11 @@ def test_assembled_L_is_the_tensor(n, seed):
         assert np.linalg.norm(LtU - LtV) <= 1e-12 * np.linalg.norm(LtU)
 
 
-@_examples
-@_random_meshes
+@examples
+@random_meshes
 def test_assembled_L_of_constant_is_zero(n, seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
-    mesh = _random_mesh(n, rng)
+    mesh = random_mesh(n, rng)
     const = np.full(mesh.node_count, rng.uniform(-5.0, 5.0))
     assert not assembly.assemble_L(mesh, const).data.any()
 

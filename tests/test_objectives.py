@@ -6,6 +6,7 @@ from ellreg.experiments import ManufacturedProblem
 from ellreg.forward import RegularizedForwardOperator, ScheduleEntry
 from ellreg.mesh import Mesh, build_unit_square
 from ellreg.optimizer import IdentificationProblem, _EntryObjective
+from jittered import examples, random_mesh, random_meshes
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +72,23 @@ def test_mols_hessian_action_vs_dense_and_psd(setup):
     dA = rng.standard_normal(len(A))
     act = obj.mols_hessian_action(op, op.L(V), dA)
     assert np.linalg.norm(H @ dA - act) <= 1e-12 * np.linalg.norm(H @ dA)
+
+
+@examples
+@random_meshes
+def test_mols_hessian_action_psd_on_jittered_meshes(n, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    mesh = random_mesh(n, rng)
+    m = mesh.node_count
+    A = rng.uniform(0.1, 10.0, size=m)
+    eps = float(rng.uniform(1e-4, 1e-1))
+    tau = float(rng.choice([0.0, rng.uniform(0.0, 1e-2)]))
+    op = RegularizedForwardOperator(mesh, A, eps=eps, tau=tau)
+    V = op.solve_state(rng.standard_normal(m))
+    LV = op.L(V)
+    for d in rng.standard_normal((3, m)):
+        Hd = obj.mols_hessian_action(op, LV, d)
+        assert d @ Hd >= -1e-12 * np.linalg.norm(Hd) * np.linalg.norm(d)
 
 
 def test_hessians_match_fd_of_gradient(setup):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from jittered import examples
 
 from ellreg import assembly, objectives as obj, optimizer
 from ellreg.experiments import ExperimentConfig, ManufacturedProblem, run_cell
@@ -31,11 +33,22 @@ def _entry(eps=1e-4, kappa=1e-4, **kw):
                          delta=kw.get("delta", 0.0), kappa=kappa)
 
 
-def test_project_box():
+@examples
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       c1=st.floats(-10.0, 10.0), width=st.floats(1e-6, 20.0))
+def test_project_box(n, seed, c1, width):
     out = project_box(np.array([-5.0, 0.5, 50.0]), 0.1, 10.0)
     assert np.array_equal(out, [0.1, 0.5, 10.0])
     with pytest.raises(ValueError):
         project_box(np.ones(2), 2.0, 1.0)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    c2 = c1 + width
+    A, B = rng.uniform(c1 - 2.0 * width, c2 + 2.0 * width, size=(2, n))
+    PA, PB = project_box(A, c1, c2), project_box(B, c1, c2)
+    assert np.all((PA >= c1) & (PA <= c2))
+    assert np.array_equal(project_box(PA, c1, c2), PA)  # idempotent
+    # nonexpansive componentwise, so in every norm
+    assert np.all(np.abs(PA - PB) <= np.abs(A - B))
 
 
 @pytest.mark.parametrize("objective", ["ols", "mols"])
@@ -206,3 +219,42 @@ def test_rejected_trial_point_not_evaluated_again(monkeypatch):
     assert all(a != b for a, b in zip(seen, seen[1:]))
     # some trials were skipped
     assert len(seen) < 1 + sum(row.trials for row in result.entry_logs[0])
+
+
+def test_cg_returns_truncated_direction_after_three_shifts():
+    # the Rayleigh quotients CG meets underestimate the eigenvalue -100, so
+    # each shift still leaves H + shift*I indefinite and all three attempts
+    # end on negative curvature; _cg then returns the last attempt's iterate
+    lam = np.array([-1.0, -100.0, 1.0, 2.0, 3.0])
+    g = np.array([1.0, 0.01, 1.0, 1.0, 1.0])
+    restarts = []
+
+    def hess(d):
+        restarts.append(np.array_equal(d, -g))  # each attempt starts from d = -g
+        return lam * d
+
+    p, actions = optimizer._cg(hess, g, optimizer.CG_TOL, optimizer.CG_MAX_ITERS)
+    assert sum(restarts) == 3 and actions == len(restarts) == 6
+    # one CG step along -g before the negative curvature: a scaled steepest
+    # descent direction, which no shifted system with this g is solved by
+    assert np.allclose(p / np.linalg.norm(p), -g / np.linalg.norm(g), rtol=0, atol=1e-15)
+    assert p @ g < 0
+
+    class Quadratic:
+        """g.A + A.diag(lam).A / 2, with the state tuple _minimize_entry unpacks."""
+
+        def evaluate(self, A):
+            return g @ A + 0.5 * A @ (lam * A), (A, None, None, None)
+
+        def derivatives(self, state):
+            return g + lam * state[0], lambda d: lam * d, None
+
+    A0 = np.zeros(5)
+    A, _, _, log, termination, _ = optimizer._minimize_entry(
+        Quadratic(), A0, SolveOptions(max_iters=1), -10.0, 10.0)
+    # _minimize_entry keeps the returned descent direction (no fallback to
+    # -grad) and its full step passes the Armijo test
+    assert log[0].cg_iters == 6 and log[0].trials == 1
+    assert np.array_equal(A, A0 + p)
+    assert Quadratic().evaluate(A)[0] < Quadratic().evaluate(A0)[0]
+    assert termination == "max_iters"

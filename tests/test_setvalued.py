@@ -6,7 +6,13 @@ import scipy.sparse.linalg as spla
 
 from ellreg import assembly
 from ellreg.experiments import ManufacturedProblem
-from ellreg.forward import default_schedule, solve_neumann_mean_zero
+from ellreg.forward import (
+    RegularizedForwardOperator,
+    default_schedule,
+    mean_zero_projection,
+    riesz_dual_norm,
+    solve_neumann_mean_zero,
+)
 from ellreg.noise import NoiseSpec, perturb_functional
 from ellreg.setvalued import ContingentProbe
 
@@ -41,7 +47,8 @@ def test_scd_and_equivalent_form_agree(probe):
     # with the consistent first-order solution in the tilde direction the two
     # second-order variational forms are algebraically identical
     rhs = -assembly.apply_L(probe.mesh, probe.u_bar, probe.dA2)
-    dV_tilde = solve_neumann_mean_zero(probe.mesh, probe.A_bar, rhs)
+    K_bar = assembly.assemble_stiffness(probe.mesh, probe.A_bar)
+    dV_tilde = solve_neumann_mean_zero(probe.mesh, K_bar, rhs)
     for n in (0, 3, 7):
         gap = abs(probe.scd_residual(n) - probe.scd_equivalent_residual(n, dV_tilde))
         assert gap <= 1e-12
@@ -95,24 +102,84 @@ def test_csv_columns(probe, tmp_path):
     assert float(rows[1][1]) == probe.records[0].eps
 
 
+def _cases(mesh, key):
+    """(dA, dA2, coercive) for the four probe kinds: coercive or not, dA2 given or not."""
+    rng = np.random.Generator(np.random.Philox(key=key))
+    dA, dA2 = rng.uniform(-1.0, 1.0, size=(2, mesh.node_count))
+    return [(dA, second, coercive) for coercive in (False, True) for second in (None, dA2)]
+
+
 def test_fixed_operands_assembled_once(monkeypatch):
-    # K(A_bar), K(dA) and K(dA2) are built per probe, so an entry assembles
-    # L only for its sensitivity and second-sensitivity right-hand sides
+    # A_bar, dA and dA2 are fixed per probe: each has its stiffness and
+    # weighted mass built once, and no entry assembles a tensor L(V) or a
+    # K_tau(A_bar) of its own
     prob = ManufacturedProblem.build(6)
-    rng = np.random.Generator(np.random.Philox(key=33))
-    sched = default_schedule(n_entries=4)
-    builds = []
-    assemble_L = assembly.assemble_L
+    assembly.shared_s_matrix(prob.mesh)
+    names = ("assemble_L", "assemble_stiffness", "assemble_weighted_mass",
+             "assemble_perturbed_stiffness")
+    calls = dict.fromkeys(names, 0)
 
-    def counted(*args, **kwargs):
-        builds.append(1)
-        return assemble_L(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(assembly, "assemble_L", counted)
-    p = ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P,
-                        dA=rng.uniform(-1, 1, prob.mesh.node_count), schedule=sched)
-    p.run()
-    assert len(builds) <= 3 * len(sched)
+    for name in names:
+        monkeypatch.setattr(assembly, name, counted(name, getattr(assembly, name)))
+    for dA, dA2, coercive in _cases(prob.mesh, 33):
+        calls.update(dict.fromkeys(names, 0))
+        ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P, dA=dA, dA2=dA2,
+                        schedule=default_schedule(n_entries=4), coercive=coercive).run()
+        operands = 2 if dA2 is None else 3
+        assert calls == {"assemble_L": 0, "assemble_stiffness": operands,
+                         "assemble_weighted_mass": operands,
+                         "assemble_perturbed_stiffness": 0}
+
+
+def _oracle_records(mesh, A_bar, P, dA, dA2, schedule, coercive):
+    """Probe records with every right-hand side built through the tensor L(V)."""
+    dA2 = dA if dA2 is None else dA2
+    W = assembly.shared_s_matrix(mesh)
+    K_bar = assembly.assemble_stiffness(mesh, A_bar)
+    if coercive:
+        K_bar = K_bar + W
+        u_bar = RegularizedForwardOperator(mesh, A_bar, eps=0.0,
+                                           coercive_shift=1.0).solve_state(P)
+    else:
+        u_bar = solve_neumann_mean_zero(mesh, K_bar, P)
+
+    def norm(v):
+        return np.sqrt(v @ (W @ v))
+
+    def dual(r):
+        return riesz_dual_norm(mesh, mean_zero_projection(r))
+
+    records = []
+    for e in schedule:
+        op = RegularizedForwardOperator(mesh, A_bar, eps=e.eps, tau=e.tau,
+                                        coercive_shift=float(coercive))
+        V = op.solve_state(P)
+        dV1 = op.solve(-assembly.apply_L(mesh, V, dA, e.tau))
+        dV_tilde = op.solve(-assembly.apply_L(mesh, V, dA2, e.tau))
+        d2V = op.solve(-2.0 * (assembly.assemble_L(mesh, dV1, e.tau) @ dA)) + dV_tilde
+        fcd = dual(K_bar @ dV1 + assembly.apply_L(mesh, u_bar, dA))
+        scd = dual(K_bar @ d2V + 2.0 * assembly.apply_L(mesh, dV1, dA)
+                   + assembly.apply_L(mesh, u_bar, dA2))
+        records.append([fcd, scd, norm(dV1), norm(V - u_bar)])
+    return np.array(records)
+
+
+def test_records_match_tensor_oracle():
+    prob = ManufacturedProblem.build(20)
+    sched = default_schedule()
+    for dA, dA2, coercive in _cases(prob.mesh, 35):
+        p = ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P, dA=dA, dA2=dA2,
+                            schedule=sched, coercive=coercive)
+        got = np.array([[r.residual_fcd, r.residual_scd, r.sens_norm, r.state_gap]
+                        for r in p.run()])
+        ref = _oracle_records(prob.mesh, prob.A_true, prob.P, dA, dA2, sched, coercive)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
 def test_s_matrix_factorized_once_per_mesh(monkeypatch):
