@@ -32,7 +32,6 @@ from .objectives import (
     mols_hessian_action,
     mols_value,
     ols_gradient_adjoint,
-    ols_gradient_direct,
     ols_hessian_action,
     ols_value,
 )

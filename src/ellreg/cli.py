@@ -14,7 +14,6 @@ import numpy as np
 
 from . import experiments as exp
 from .forward import default_schedule
-from .mesh import build_unit_square
 from .setvalued import ContingentProbe
 
 
@@ -121,11 +120,10 @@ def _cmd_failure(args):
 
 def _probe(args, second_order):
     n = args.n if args.n is not None else 20
-    mesh = build_unit_square(n)
     prob = exp.ManufacturedProblem.build(n)
     rng = np.random.Generator(np.random.Philox(key=args.seed))
-    dA = rng.uniform(-1.0, 1.0, size=mesh.node_count)
-    probe = ContingentProbe(mesh=mesh, A_bar=prob.A_true, P=prob.P, dA=dA,
+    dA = rng.uniform(-1.0, 1.0, size=prob.mesh.node_count)
+    probe = ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P, dA=dA,
                             schedule=default_schedule())
     probe.run()
     out = Path(args.out)
@@ -152,19 +150,18 @@ def _cmd_probe_scd(args):
 
 
 def _cmd_check_gradients(args):
-    from . import objectives as obj
-    from .forward import RegularizedForwardOperator, ScheduleEntry
+    from . import objectives as obj, oracles
+    from .forward import RegularizedForwardOperator
 
     n = args.n if args.n is not None else 4
-    mesh = build_unit_square(n)
     prob = exp.ManufacturedProblem.build(n)
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     ok = True
     for trial in range(5):
-        A = rng.uniform(0.5, 2.0, size=mesh.node_count)
-        op = RegularizedForwardOperator(mesh, A, eps=args.eps)
+        A = rng.uniform(0.5, 2.0, size=prob.mesh.node_count)
+        op = RegularizedForwardOperator(prob.mesh, A, eps=args.eps)
         V = op.solve_state(prob.P)
-        g_dir = obj.ols_gradient_direct(op, V, prob.Z)
+        g_dir = oracles.ols_gradient_direct(op, V, prob.Z)
         w = op.solve_adjoint(V, prob.Z)
         g_adj = obj.ols_gradient_adjoint(op.L(V), w)
         rel = np.linalg.norm(g_dir - g_adj) / max(np.linalg.norm(g_dir), 1e-300)

@@ -1,10 +1,10 @@
 """Regularized forward, sensitivity and adjoint solves.
 
-The forward operator is [K_tau(A) + eps*W] (optionally shifted by a
-coercive term c0*W so that coercive reference problems reuse the same
-machinery). For eps = 0 on the pure-Neumann problem the system is singular;
-the solve reports a structured error carrying a condition estimate instead
-of returning garbage.
+The forward operator is [K_tau(A) + eps*W]. A coercive reference problem
+K(A) + c0*W with its own regularization eps is this operator at eps + c0.
+For eps = 0 on the pure-Neumann problem the system is singular; the solve
+reports a structured error carrying a condition estimate instead of
+returning garbage.
 """
 
 from __future__ import annotations
@@ -62,15 +62,6 @@ class RegularizationSchedule:
     def __getitem__(self, i):
         return self.entries[i]
 
-    def ratios_decrease(self) -> bool:
-        """Check the decay of eps, tau, nu, delta, kappa, tau/eps, nu/eps, delta/eps."""
-        seqs = []
-        for key in ("eps", "tau", "nu", "delta", "kappa"):
-            seqs.append([getattr(e, key) for e in self.entries])
-        for key in ("tau", "nu", "delta"):
-            seqs.append([getattr(e, key) / e.eps for e in self.entries])
-        return all(all(b <= a + 1e-15 for a, b in zip(s, s[1:])) for s in seqs)
-
 
 def default_schedule(n_entries: int = 8, eps0: float = 1e-1, rho: float = 0.5) -> RegularizationSchedule:
     """eps_n = eps0*rho^n, tau_n = eps_n^2, nu_n = delta_n = eps_n^(3/2), kappa_n = eps_n."""
@@ -82,7 +73,7 @@ def default_schedule(n_entries: int = 8, eps0: float = 1e-1, rho: float = 0.5) -
 
 
 class RegularizedForwardOperator:
-    """Factorized handle for [K_tau(A) + (coercive_shift + eps) W] at fixed (A, eps, tau).
+    """Factorized handle for [K_tau(A) + eps*W] at fixed (A, eps, tau).
 
     Immutable after factorization; repeated solves reuse the factorization.
     ``K_tau`` is K_tau(A) at this tau when the caller has it assembled
@@ -90,7 +81,7 @@ class RegularizedForwardOperator:
     """
 
     def __init__(self, mesh: Mesh, A: np.ndarray, eps: float, tau: float = 0.0,
-                 coercive_shift: float = 0.0, K_tau: sp.csr_matrix = None):
+                 K_tau: sp.csr_matrix = None):
         if eps < 0:
             raise ValueError("eps must be nonnegative")
         if tau < 0:
@@ -99,13 +90,12 @@ class RegularizedForwardOperator:
         self.A = np.asarray(A, dtype=float).copy()
         self.eps = float(eps)
         self.tau = float(tau)
-        self.coercive_shift = float(coercive_shift)
         if K_tau is None:
             K_tau = assembly.assemble_perturbed_stiffness(mesh, self.A, tau)
         self.K_tau = K_tau
         self.W = assembly.shared_s_matrix(mesh)
         self.M = assembly.shared_mass(mesh)
-        self.system = (self.K_tau + (self.eps + self.coercive_shift) * self.W).tocsc()
+        self.system = (self.K_tau + self.eps * self.W).tocsc()
         self._system_norm = spla.norm(self.system, np.inf)
         self._lu = None
         self.condition_estimate = None
@@ -114,7 +104,7 @@ class RegularizedForwardOperator:
     def _factorize(self):
         if self._lu is not None:
             return
-        # constant-mode generalized eigenvalue lam_c = eps + shift + tau*int(a):
+        # constant-mode generalized eigenvalue lam_c = eps + tau*int(a):
         # the stiffness part annihilates constants, so this resolves levels far
         # below what LU pivots can certify. The tau contribution is measured
         # from the assembled matrix with a roundoff floor; the eps part is exact.
@@ -122,7 +112,7 @@ class RegularizedForwardOperator:
         t_term = (ones @ (self.K_tau @ ones)) / (ones @ (self.W @ ones))
         if t_term < 256.0 * np.finfo(float).eps * self._system_norm:
             t_term = 0.0
-        lam_c = self.eps + self.coercive_shift + t_term
+        lam_c = self.eps + t_term
         self.condition_estimate = (self._system_norm / lam_c if lam_c > 0
                                    else np.inf)
         if lam_c < LAMBDA_FAIL:
@@ -220,10 +210,3 @@ def solve_neumann_mean_zero(mesh: Mesh, K: sp.csr_matrix, P: np.ndarray) -> np.n
     u[1:] = lu.solve(rhs[1:])
     return u - (c @ u) / c.sum()
 
-
-def minimum_s_norm_selection(mesh: Mesh, u_particular: np.ndarray) -> np.ndarray:
-    """Minimum-S-norm member of {u + c*1}: shift by c* = -(1^T W u)/(1^T W 1)."""
-    W = assembly.shared_s_matrix(mesh)
-    ones = np.ones(mesh.node_count)
-    c = -(ones @ (W @ u_particular)) / (ones @ (W @ ones))
-    return u_particular + c * ones

@@ -169,29 +169,3 @@ def interpolate(mesh: Mesh, f) -> np.ndarray:
     vals = f(x, y)
     return np.broadcast_to(np.asarray(vals, dtype=float), x.shape).copy()
 
-
-def evaluate_p1(mesh: Mesh, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate the P1 interpolant with nodal values ``coeffs`` at given points.
-
-    Brute-force point location; intended for tests on small meshes.
-    """
-    pts = np.atleast_2d(points)
-    out = np.empty(len(pts))
-    p = mesh.nodes[mesh.triangles]
-    for k, (x, y) in enumerate(pts):
-        found = False
-        for t in range(len(mesh.triangles)):
-            lam = _barycentric(p[t], x, y)
-            if np.all(lam >= -1e-12):
-                out[k] = lam @ coeffs[mesh.triangles[t]]
-                found = True
-                break
-        if not found:
-            raise ValueError(f"point {(x, y)} outside the mesh")
-    return out if points.ndim > 1 else out[0]
-
-
-def _barycentric(tri_pts, x, y):
-    T = np.column_stack([tri_pts[1] - tri_pts[0], tri_pts[2] - tri_pts[0]])
-    lam12 = np.linalg.solve(T, np.array([x, y]) - tri_pts[0])
-    return np.array([1.0 - lam12.sum(), lam12[0], lam12[1]])

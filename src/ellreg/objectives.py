@@ -1,10 +1,9 @@
 """OLS and MOLS objectives with discrete gradients and Hessians.
 
-Every first/second derivative is available through two algebraically
-independent code paths: the direct matrix formulas built from the tensor
-actions L(V), L(V)^T, and the adjoint-state scheme (one extra solve, no
-sensitivity per parameter direction). The routes must agree to roundoff;
-the tests enforce this.
+Gradients and Hessian actions follow the adjoint-state scheme: one extra
+solve per state, no sensitivity per parameter direction. The direct
+gradient and the dense Hessians, an algebraically independent route that
+the tests compare against, are in ``ellreg.oracles``.
 
 The adjoint-route gradients and the Hessian actions take the tensors
 L(.) assembled once per state (``RegularizedForwardOperator.L``), so a
@@ -76,13 +75,6 @@ def ols_value(op: RegularizedForwardOperator, V: np.ndarray, Z: np.ndarray) -> f
     return 0.5 * float(d @ (op.M @ d))
 
 
-def ols_gradient_direct(op: RegularizedForwardOperator, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Direct route: -L(V)^T [K_tau(A)+eps*W]^-1 M (V-Z); no regularizer term."""
-    d = np.asarray(V, dtype=float) - np.asarray(Z, dtype=float)
-    Q = op.solve(op.M @ d)
-    return -assembly.apply_Lt(op.mesh, V, Q, op.tau)
-
-
 def ols_gradient_adjoint(LV: sp.csr_matrix, W_adj: np.ndarray) -> np.ndarray:
     """Adjoint route: L(V)^T w = T_tau(psi_k, V, w); no regularizer term.
 
@@ -102,30 +94,6 @@ def ols_hessian_action(op: RegularizedForwardOperator, LV: sp.csr_matrix, Lw: sp
     """
     dV = -op.solve(LV @ dA)
     return Lw.T @ dV - LV.T @ op.solve(op.M @ dV + Lw @ dA)
-
-
-def _dense_L(op: RegularizedForwardOperator, U: np.ndarray) -> np.ndarray:
-    """Materialize L(U) column by column as K_tau(e_k) U; small meshes only.
-
-    Built from the assembled stiffness, not from ``assemble_L``, so it stays
-    an independent reference for the assembled tensor.
-    """
-    m = op.mesh.node_count
-    cols = [assembly.assemble_perturbed_stiffness(op.mesh, e, op.tau) @ U for e in np.eye(m)]
-    return np.column_stack(cols)
-
-
-def ols_hessian_dense(op: RegularizedForwardOperator, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Three-term dense Hessian (misfit part only); small meshes only."""
-    d = np.asarray(V, dtype=float) - np.asarray(Z, dtype=float)
-    LV = _dense_L(op, np.asarray(V, dtype=float))
-    Q = op.solve(op.M @ d)
-    LQ = _dense_L(op, Q)
-    GiLV = np.column_stack([op.solve(c) for c in LV.T])
-    GiLQ = np.column_stack([op.solve(c) for c in LQ.T])
-    term1 = LV.T @ GiLQ
-    term3 = GiLV.T @ (op.M @ GiLV)
-    return term1 + term1.T + term3
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +137,6 @@ def mols_preconditioner(mesh: Mesh, A: np.ndarray, V: np.ndarray, kappa: float) 
     w = mesh.areas * np.sum(gv * gv, axis=1) / np.asarray(A, dtype=float)[tris].mean(axis=1)
     diag_mw = mesh.scatter_add(tris, np.repeat(w[:, None] / 6.0, 3, axis=1))
     return diag_mw + kappa * assembly.shared_s_matrix(mesh).diagonal()
-
-
-def mols_hessian_dense(op: RegularizedForwardOperator, V: np.ndarray) -> np.ndarray:
-    """Dense L(V)^T G^-1 L(V); small meshes only."""
-    LV = _dense_L(op, np.asarray(V, dtype=float))
-    GiLV = np.column_stack([op.solve(c) for c in LV.T])
-    return LV.T @ GiLV
 
 
 def mols_optimality_residual(op: RegularizedForwardOperator, V: np.ndarray, Z: np.ndarray,

@@ -1,11 +1,12 @@
 """Box-constrained minimization of the regularized OLS/MOLS objectives
 along a regularization schedule.
 
-Projected gradient with Armijo backtracking is the robust default;
-projected Newton uses the exact Hessian action through conjugate gradients
-with negative-curvature detection (OLS is not convex, so indefiniteness is
-handled by a diagonal shift rather than pretended away). MOLS CG is
-Jacobi-preconditioned with ``objectives.mols_preconditioner``.
+Projected Newton: the step direction solves the Newton system with the
+exact Hessian action through conjugate gradients with negative-curvature
+detection (OLS is not convex, so indefiniteness is handled by a diagonal
+shift rather than pretended away), and Armijo backtracking runs along the
+projection arc from the full step. MOLS CG is Jacobi-preconditioned with
+``objectives.mols_preconditioner``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ CG_TOL = 1e-8  # relative residual of the Newton-CG solve
 @dataclass
 class SolveOptions:
     objective: str = "ols"  # "ols" or "mols"
-    method: str = "projected_newton"  # or "projected_gradient"
     max_iters: int = 500
     grad_tol: float = 1e-8  # relative to the initial projected-gradient norm
 
@@ -50,7 +50,6 @@ class EntryLogRow:
     iteration: int
     objective: float
     pg_norm: float
-    step: float
     cg_iters: int = 0  # Hessian actions spent on the step direction
     trials: int = 0  # line-search trials, including those skipped as repeats
 
@@ -62,7 +61,8 @@ class ReconstructionResult:
     V: Optional[np.ndarray] = None
     termination: str = ""
     failure_reason: str = ""
-    condition_estimate: Optional[float] = None
+    condition_estimate: Optional[float] = None  # of the final (or the failing) operator
+    near_singular: bool = False  # the final operator's near-singularity flag
     entry_logs: list = field(default_factory=list)  # one list of EntryLogRow per entry
     entry_params: list = field(default_factory=list)  # the ScheduleEntry used
     entry_solutions: list = field(default_factory=list)  # A* after each entry
@@ -84,8 +84,8 @@ class IdentificationProblem:
 
     def entry_data(self, entry):
         """Perturbed data vector and load for one schedule entry."""
-        Z_d = noise_mod.perturb_data(self.Z_exact, self.noise, delta=entry.delta)
-        P = noise_mod.perturb_functional(self.P_exact, self.mesh, self.noise, nu=entry.nu)
+        Z_d = noise_mod.perturb_data(self.Z_exact, self.noise, entry.delta)
+        P = noise_mod.perturb_functional(self.P_exact, self.mesh, self.noise, entry.nu)
         if self.ell_mode == "data-steered":
             P = P + entry.eps * (assembly.shared_s_matrix(self.mesh) @ Z_d)
         return Z_d, P
@@ -109,8 +109,8 @@ class _EntryObjective:
     state, assembling its tensors once: L(V) for MOLS, L(V) and L(w) for OLS
     (w the adjoint state). MOLS also needs L(Z), which is fixed for the
     entry. Every Hessian action reuses them. OLS builds L(w) on the first
-    Hessian action, so a state that is never asked for one (a final iterate,
-    a projected-gradient step) never builds it.
+    Hessian action, so a state that is never asked for one (a final
+    iterate) never builds it.
     """
 
     def __init__(self, problem: IdentificationProblem, entry, objective: str):
@@ -208,27 +208,22 @@ def _cg(hess, g, tol, max_iters, diag=None):
 def _minimize_entry(fun: _EntryObjective, A0, opts: SolveOptions, c1, c2):
     A = project_box(A0, c1, c2)
     log = []
-    use_newton = opts.method == "projected_newton"
     value, state = fun.evaluate(A)
     grad, hess, diag = fun.derivatives(state)
     pg0 = np.linalg.norm(project_box(A - grad, c1, c2) - A)
-    step = 1.0
     termination = "max_iters"
     for it in range(opts.max_iters):
         pg = np.linalg.norm(project_box(A - grad, c1, c2) - A)
-        row = EntryLogRow(it, value, pg, step)
+        row = EntryLogRow(it, value, pg)
         log.append(row)
         if pg <= opts.grad_tol * max(pg0, 1e-300):
             termination = "grad_tol"
             break
-        if use_newton:
-            p, row.cg_iters = _cg(hess, grad, CG_TOL, CG_MAX_ITERS, diag)
-            if p @ grad >= 0:  # not a descent direction; fall back
-                p = -grad
-        else:
+        p, row.cg_iters = _cg(hess, grad, CG_TOL, CG_MAX_ITERS, diag)
+        if p @ grad >= 0:  # not a descent direction; fall back
             p = -grad
         # Armijo backtracking along the projection arc
-        t = step if not use_newton else 1.0
+        t = 1.0
         accepted = False
         rejected = None  # the last rejected trial point
         for _ in range(60):
@@ -254,8 +249,6 @@ def _minimize_entry(fun: _EntryObjective, A0, opts: SolveOptions, c1, c2):
         if not accepted:
             termination = "linesearch_failure"
             break
-        # mild step growth keeps plain gradient steps from collapsing
-        step = min(t / BACKTRACK, 1e3) if not use_newton else 1.0
         A, value, state = A_try, v_try, s_try
         grad, hess, diag = fun.derivatives(state)
     else:
@@ -294,16 +287,7 @@ def minimize(problem: IdentificationProblem, schedule: RegularizationSchedule,
         result.iterations += iters
     result.A = A
     result.V = V
+    result.condition_estimate = op.condition_estimate
+    result.near_singular = op.near_singular
     return result
 
-
-def ols_optimality_check(problem: IdentificationProblem, result: ReconstructionResult,
-                         entry, n_random: int = 32, seed: int = 0) -> float:
-    """Sampled residual of the OLS first-order optimality system at result.A."""
-    Z, P = problem.entry_data(entry)
-    op = problem.operator(result.A, entry)
-    V = op.solve_state(P)
-    p_adj = op.solve_adjoint(V, Z)
-    return obj.ols_optimality_residual(op, V, p_adj, result.A, entry.kappa,
-                                       problem.reg, problem.c1, problem.c2,
-                                       n_random=n_random, seed=seed)

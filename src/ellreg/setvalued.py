@@ -83,8 +83,7 @@ class ContingentProbe:
             self.M_dA2 = assembly.assemble_weighted_mass(mesh, self.dA2)
         if self.coercive:
             self.K_bar = (self.K_A + self.W).tocsr()
-            op0 = RegularizedForwardOperator(mesh, self.A_bar, eps=0.0,
-                                             coercive_shift=1.0, K_tau=self.K_A)
+            op0 = RegularizedForwardOperator(mesh, self.A_bar, eps=1.0, K_tau=self.K_A)
             self.u_bar = op0.solve_state(self.P)
         else:
             self.K_bar = self.K_A
@@ -95,10 +94,11 @@ class ContingentProbe:
         self.records = []
         self._sens = []
         self._sens2 = []
+        # the coercive surrogate K + W regularized by eps is the operator at eps + 1
+        shift = float(self.coercive)
         for n, entry in enumerate(self.schedule):
             op = RegularizedForwardOperator(
-                self.mesh, self.A_bar, eps=entry.eps, tau=entry.tau,
-                coercive_shift=float(self.coercive),
+                self.mesh, self.A_bar, eps=entry.eps + shift, tau=entry.tau,
                 K_tau=_perturbed(self.K_A, self.M_A, entry.tau),
             )
             K1 = _perturbed(self.K_dA, self.M_dA, entry.tau)
@@ -140,14 +140,6 @@ class ContingentProbe:
         r = (self.K_bar @ self._sens2[n]
              + 2.0 * (self.K_dA @ self._sens[n])
              + self.K_dA2 @ self.u_bar)
-        return self._dual_residual(r)
-
-    def scd_equivalent_residual(self, n: int, dV_tilde: np.ndarray) -> float:
-        """Residual of the equivalent second-order form written with the
-        first-order term T(a_bar, dV_tilde, .) in place of -T(dA2, u_bar, .)."""
-        r = (self.K_bar @ self._sens2[n]
-             + 2.0 * (self.K_dA @ self._sens[n])
-             - self.K_bar @ dV_tilde)
         return self._dual_residual(r)
 
     def boundedness_report(self) -> dict:

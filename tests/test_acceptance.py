@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from ellreg import assembly, objectives as obj
+from ellreg import assembly, objectives as obj, oracles
 from ellreg.experiments import (
     ExperimentConfig,
     ManufacturedProblem,
@@ -46,7 +46,7 @@ def test_criterion_01_adjoint_direct_gradient_identity(small):
         A = rng.uniform(0.1, 10.0, size=small.mesh.node_count)
         op = RegularizedForwardOperator(small.mesh, A, eps=1e-3, tau=1e-4)
         V = op.solve_state(small.P)
-        g_dir = obj.ols_gradient_direct(op, V, small.Z)
+        g_dir = oracles.ols_gradient_direct(op, V, small.Z)
         g_adj = obj.ols_gradient_adjoint(op.L(V), op.solve_adjoint(V, small.Z))
         worst = max(worst, np.linalg.norm(g_dir - g_adj) / np.linalg.norm(g_dir))
     elapsed = time.perf_counter() - t0
@@ -65,7 +65,7 @@ def test_criterion_02_finite_difference_oracles(small):
     op = RegularizedForwardOperator(mesh, A, eps=eps, tau=tau)
     V = op.solve_state(small.P)
     w = op.solve_adjoint(V, small.Z)
-    g_ols = obj.ols_gradient_direct(op, V, small.Z)
+    g_ols = oracles.ols_gradient_direct(op, V, small.Z)
     g_mols = obj.mols_gradient(op.L(V), op.L(small.Z), V, small.Z)
     m = mesh.node_count
 
@@ -95,8 +95,8 @@ def test_criterion_02_finite_difference_oracles(small):
     h = 1e-5
     op_p, Vp = state(A + h * dA)
     op_m, Vm = state(A - h * dA)
-    fd_Hols = (obj.ols_gradient_direct(op_p, Vp, small.Z)
-               - obj.ols_gradient_direct(op_m, Vm, small.Z)) / (2 * h)
+    fd_Hols = (oracles.ols_gradient_direct(op_p, Vp, small.Z)
+               - oracles.ols_gradient_direct(op_m, Vm, small.Z)) / (2 * h)
     fd_Hmols = (obj.mols_gradient(op_p.L(Vp), op_p.L(small.Z), Vp, small.Z)
                 - obj.mols_gradient(op_m.L(Vm), op_m.L(small.Z), Vm, small.Z)) / (2 * h)
     H_ols = obj.ols_hessian_action(op, op.L(V), op.L(w), dA)
@@ -122,7 +122,7 @@ def test_criterion_03_mols_convexity(small):
         eps = float(rng.uniform(1e-4, 1e-1))
         op = RegularizedForwardOperator(mesh, A, eps=eps)
         V = op.solve_state(small.P)
-        H = obj.mols_hessian_dense(op, V)
+        H = oracles.mols_hessian_dense(op, V)
         lam = np.linalg.eigvalsh(0.5 * (H + H.T)).min()
         min_eig = min(min_eig, lam)
         assert lam >= -1e-10

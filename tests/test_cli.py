@@ -1,7 +1,23 @@
 import numpy as np
 import pytest
 
+from ellreg import cli, experiments, mesh
 from ellreg.cli import build_parser, main
+
+
+def _count_mesh_builds(monkeypatch):
+    """Record every build_unit_square call made through a module that holds it."""
+    calls = []
+    build = mesh.build_unit_square
+
+    def counted(n):
+        calls.append(n)
+        return build(n)
+
+    for module in (mesh, experiments, cli):
+        if getattr(module, "build_unit_square", None) is build:
+            monkeypatch.setattr(module, "build_unit_square", counted)
+    return calls
 
 
 def test_parser_has_all_subcommands():
@@ -57,9 +73,11 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert main(["table1", "--config", str(cfg)]) == 1
 
 
-def test_probe_fcd_writes_csv(tmp_path):
+def test_probe_fcd_writes_csv(tmp_path, monkeypatch):
+    builds = _count_mesh_builds(monkeypatch)
     rc = main(["probe-fcd", "--n", "6", "--out", str(tmp_path)])
     assert rc == 0
+    assert builds == [6]  # the probe runs on the manufactured problem's mesh
     lines = (tmp_path / "probe_fcd.csv").read_text().splitlines()
     assert lines[0].split(",")[:4] == ["n", "eps", "tau", "residual_fcd"]
     assert len(lines) == 9  # header + default 8 schedule entries
@@ -71,9 +89,11 @@ def test_probe_scd_writes_csv(tmp_path):
     assert (tmp_path / "probe_scd.csv").exists()
 
 
-def test_check_gradients_passes(capsys):
+def test_check_gradients_passes(capsys, monkeypatch):
+    builds = _count_mesh_builds(monkeypatch)
     rc = main(["check-gradients"])
     assert rc == 0
+    assert len(builds) == 1
     assert "gradient routes agree" in capsys.readouterr().out
 
 

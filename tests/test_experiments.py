@@ -72,7 +72,17 @@ def test_run_table_noise_sweep():
     assert rows[0].rel_l2_u > rows[1].rel_l2_u
 
 
-def test_failure_demo_statuses():
+def test_failure_demo_statuses(monkeypatch):
+    # each demo builds its problem once: the status and condition estimate
+    # come from the final operator of the reconstruction
+    builds = []
+    build = exp.ManufacturedProblem.build
+
+    def counted(n):
+        builds.append(n)
+        return build(n)
+
+    monkeypatch.setattr(exp.ManufacturedProblem, "build", counted)
     cfg0 = exp.ExperimentConfig(eps=0.0)
     rep = exp.run_failure_demo(cfg0, n=12)
     assert rep["status"] == "failed"
@@ -81,4 +91,5 @@ def test_failure_demo_statuses():
     rep1 = exp.run_failure_demo(cfg1, n=12)
     assert rep1["status"] == "success"
     assert rep1["condition_estimate"] < 1e9
+    assert builds == [12, 12]
 

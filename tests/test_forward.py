@@ -10,7 +10,6 @@ from ellreg.forward import (
     SingularSystemError,
     default_schedule,
     mean_zero_projection,
-    minimum_s_norm_selection,
     riesz_dual_norm,
     solve_neumann_mean_zero,
 )
@@ -138,18 +137,6 @@ def test_regularized_solution_approaches_neumann_selection(prob):
     assert gaps[1] < gaps[0] and gaps[2] < gaps[1]
 
 
-def test_minimum_s_norm_selection(prob):
-    mesh = prob.mesh
-    W = assembly.assemble_s_matrix(mesh)
-    rng = np.random.Generator(np.random.Philox(key=14))
-    u = rng.standard_normal(mesh.node_count)
-    u_star = minimum_s_norm_selection(mesh, u)
-    base = u_star @ (W @ u_star)
-    for c in (-0.5, -0.01, 0.01, 0.5):
-        shifted = u_star + c
-        assert shifted @ (W @ shifted) > base
-
-
 def test_riesz_dual_norm_definition(prob):
     mesh = prob.mesh
     W = assembly.assemble_s_matrix(mesh)
@@ -160,23 +147,33 @@ def test_riesz_dual_norm_definition(prob):
     assert val == pytest.approx(np.sqrt(r @ q), rel=1e-10)
 
 
+def _ratios_decrease(sched):
+    """eps, tau, nu, delta, kappa, tau/eps, nu/eps and delta/eps are nonincreasing."""
+    seqs = [[getattr(e, k) for e in sched] for k in ("eps", "tau", "nu", "delta", "kappa")]
+    seqs += [[getattr(e, k) / e.eps for e in sched] for k in ("tau", "nu", "delta")]
+    return all(b <= a + 1e-15 for s in seqs for a, b in zip(s, s[1:]))
+
+
 def test_schedule_default_ratios():
     sched = default_schedule()
     assert len(sched) == 8
-    assert sched.ratios_decrease()
+    assert _ratios_decrease(sched)
     e0 = sched[0]
     assert e0.eps == 0.1 and e0.tau == pytest.approx(0.01)
     assert e0.nu == pytest.approx(0.1**1.5) and e0.kappa == 0.1
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        RegularizationSchedule(entries=(ScheduleEntry(-1e-3, 0, 0, 0, 0),))
+    # a negative eps, data-noise level delta or functional-noise level nu
+    for bad in (dict(eps=-1e-3), dict(delta=-0.1), dict(nu=-1e-9)):
+        entry = ScheduleEntry(**{**dict(eps=1e-3, tau=0, nu=0, delta=0, kappa=0), **bad})
+        with pytest.raises(ValueError):
+            RegularizationSchedule(entries=(entry,))
     bad = RegularizationSchedule(entries=(
         ScheduleEntry(eps=1e-2, tau=1e-4, nu=0, delta=0, kappa=1e-2),
         ScheduleEntry(eps=1e-1, tau=1e-2, nu=0, delta=0, kappa=1e-1),
     ))
-    assert not bad.ratios_decrease()
+    assert not _ratios_decrease(bad)
 
 
 def test_mean_zero_projection():

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ellreg import assembly, objectives as obj
+import ellreg
+from ellreg import assembly, objectives as obj, oracles
 from ellreg.experiments import ManufacturedProblem
 from ellreg.forward import RegularizedForwardOperator, ScheduleEntry
 from ellreg.mesh import Mesh, build_unit_square
@@ -34,7 +40,7 @@ def _fd_gradient(prob, A, eps, tau, value_fn, h=1e-6):
 
 def test_ols_gradient_routes_and_fd(setup):
     prob, A, op, V = setup
-    g_dir = obj.ols_gradient_direct(op, V, prob.Z)
+    g_dir = oracles.ols_gradient_direct(op, V, prob.Z)
     w = op.solve_adjoint(V, prob.Z)
     g_adj = obj.ols_gradient_adjoint(op.L(V), w)
     assert np.linalg.norm(g_dir - g_adj) <= 1e-12 * np.linalg.norm(g_dir)
@@ -54,7 +60,7 @@ def test_mols_gradient_fd(setup):
 def test_ols_hessian_action_vs_dense(setup):
     prob, A, op, V = setup
     w = op.solve_adjoint(V, prob.Z)
-    H = obj.ols_hessian_dense(op, V, prob.Z)
+    H = oracles.ols_hessian_dense(op, V, prob.Z)
     assert np.allclose(H, H.T, atol=1e-12)
     rng = np.random.Generator(np.random.Philox(key=21))
     for _ in range(5):
@@ -65,7 +71,7 @@ def test_ols_hessian_action_vs_dense(setup):
 
 def test_mols_hessian_action_vs_dense_and_psd(setup):
     prob, A, op, V = setup
-    H = obj.mols_hessian_dense(op, V)
+    H = oracles.mols_hessian_dense(op, V)
     assert np.allclose(H, H.T, atol=1e-12)
     assert np.linalg.eigvalsh(0.5 * (H + H.T)).min() >= -1e-10
     rng = np.random.Generator(np.random.Philox(key=22))
@@ -95,8 +101,8 @@ def test_hessians_match_fd_of_gradient(setup):
     prob, A, op, V = setup
     m = len(A)
     h = 1e-5
-    H_ols = obj.ols_hessian_dense(op, V, prob.Z)
-    H_mols = obj.mols_hessian_dense(op, V)
+    H_ols = oracles.ols_hessian_dense(op, V, prob.Z)
+    H_mols = oracles.mols_hessian_dense(op, V)
     Hf_ols = np.empty((m, m))
     Hf_mols = np.empty((m, m))
     for i in range(m):
@@ -105,8 +111,8 @@ def test_hessians_match_fd_of_gradient(setup):
         op_p = RegularizedForwardOperator(prob.mesh, A + e, eps=op.eps, tau=op.tau)
         op_m = RegularizedForwardOperator(prob.mesh, A - e, eps=op.eps, tau=op.tau)
         Vp, Vm = op_p.solve_state(prob.P), op_m.solve_state(prob.P)
-        Hf_ols[:, i] = (obj.ols_gradient_direct(op_p, Vp, prob.Z)
-                        - obj.ols_gradient_direct(op_m, Vm, prob.Z)) / (2 * h)
+        Hf_ols[:, i] = (oracles.ols_gradient_direct(op_p, Vp, prob.Z)
+                        - oracles.ols_gradient_direct(op_m, Vm, prob.Z)) / (2 * h)
         Hf_mols[:, i] = (obj.mols_gradient(op_p.L(Vp), op_p.L(prob.Z), Vp, prob.Z)
                          - obj.mols_gradient(op_m.L(Vm), op_m.L(prob.Z), Vm, prob.Z)) / (2 * h)
     assert np.linalg.norm(Hf_ols - H_ols) <= 1e-5 * np.linalg.norm(Hf_ols)
@@ -197,3 +203,18 @@ def test_vi_residual_nonnegative_at_minimizer():
     res = obj.mols_optimality_residual(op, V, V.copy(), A, 0.0, None, 0.1, 10.0)
     # with Z = V the MOLS gradient vanishes identically, so no descent direction
     assert res >= -1e-12
+
+
+def test_hot_path_does_not_import_oracles():
+    # the reference routes live in ellreg.oracles alone, and nothing the
+    # tables, probes or CLI import loads it
+    code = ("import sys, ellreg, ellreg.experiments, ellreg.setvalued, ellreg.cli\n"
+            "from ellreg import objectives\n"
+            "assert 'ellreg.oracles' not in sys.modules, 'ellreg.oracles imported'\n"
+            "names = ['_dense_L', 'ols_hessian_dense', 'mols_hessian_dense',\n"
+            "         'ols_gradient_direct']\n"
+            "assert not [n for n in names if hasattr(objectives, n)], 'oracle in objectives'\n")
+    src = str(Path(ellreg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
