@@ -32,6 +32,8 @@ class NoiseSpec:
 
 def perturb_data(Z: np.ndarray, spec: NoiseSpec, delta: float) -> np.ndarray:
     """Z + delta * eta with eta ~ U[0,1] i.i.d. per node."""
+    if delta < 0.0:
+        raise ValueError("data-noise level delta must be >= 0")
     Z = np.asarray(Z, dtype=float)
     if delta == 0.0:
         return Z.copy()
@@ -46,6 +48,8 @@ def perturb_functional(P: np.ndarray, mesh: Mesh, spec: NoiseSpec, nu: float) ->
     normalized in the W^-1 (dual) norm so the noise bound holds with
     equality.
     """
+    if nu < 0.0:
+        raise ValueError("functional-noise level nu must be >= 0")
     P = np.asarray(P, dtype=float)
     if nu == 0.0:
         return P.copy()

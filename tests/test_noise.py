@@ -56,3 +56,11 @@ def test_functional_noise_zero_level_is_copy():
     P = np.arange(float(mesh.node_count))
     out = perturb_functional(P, mesh, NoiseSpec(seed=2), 0.0)
     assert np.array_equal(out, P)
+
+
+def test_negative_levels_rejected():
+    mesh = build_unit_square(3)
+    with pytest.raises(ValueError):
+        perturb_data(np.zeros(4), NoiseSpec(seed=0), -0.1)
+    with pytest.raises(ValueError):
+        perturb_functional(np.zeros(mesh.node_count), mesh, NoiseSpec(seed=0), -1e-9)
