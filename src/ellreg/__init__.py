@@ -27,7 +27,6 @@ from .forward import (
 from .mesh import Mesh, build_unit_square, interpolate
 from .noise import NoiseSpec, perturb_data, perturb_functional
 from .objectives import (
-    Regularizer,
     mols_gradient,
     mols_hessian_action,
     mols_value,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assembly, noise as noise_mod, objectives as obj
+from . import assembly, noise as noise_mod
 from .forward import (
     RegularizationSchedule,
     RegularizedForwardOperator,
@@ -71,10 +71,6 @@ class ExperimentConfig:
     seed: int = 0
     c1: float = 0.1
     c2: float = 10.0
-    ell_mode: str = "data-steered"  # load carries eps*W*z_delta; matches the tables
-    tau: float = 0.0
-    nu: float = 0.0
-    max_iters: int = 500
 
 
 @dataclass
@@ -108,19 +104,16 @@ def run_cell(config: ExperimentConfig, n: int, delta: float = 0.0):
     """One table cell: reconstruct on an n-by-n mesh at noise level delta."""
     prob_data = ManufacturedProblem.build(n)
     mesh = prob_data.mesh
-    entry = ScheduleEntry(eps=config.eps, tau=config.tau, nu=config.nu,
-                          delta=delta, kappa=config.kappa)
+    entry = ScheduleEntry(eps=config.eps, tau=0.0, nu=0.0, delta=delta, kappa=config.kappa)
     schedule = RegularizationSchedule(entries=(entry,))
     problem = IdentificationProblem(
         mesh=mesh,
         P_exact=prob_data.P,
         Z_exact=prob_data.Z,
-        reg=obj.Regularizer(kind="h1"),
         c1=config.c1, c2=config.c2,
         noise=noise_mod.NoiseSpec(seed=config.seed),
-        ell_mode=config.ell_mode,
     )
-    opts = SolveOptions(objective=config.objective, max_iters=config.max_iters)
+    opts = SolveOptions(objective=config.objective)
     A0 = np.full(mesh.node_count, 0.5 * (config.c1 + config.c2))
     t0 = time.perf_counter()
     result = minimize(problem, schedule, opts, A0)
@@ -128,8 +121,7 @@ def run_cell(config: ExperimentConfig, n: int, delta: float = 0.0):
     if not result.success:
         return result, None, wall
     # reference state: discrete regularized solve at the true coefficient
-    op_ref = RegularizedForwardOperator(mesh, prob_data.A_true, eps=config.eps,
-                                        tau=config.tau)
+    op_ref = RegularizedForwardOperator(mesh, prob_data.A_true, eps=config.eps)
     u_ref = op_ref.solve_state(prob_data.P)
     errs = _errors(mesh, result.A, result.V, prob_data.A_true, u_ref, prob_data.Z)
     return result, errs, wall
@@ -159,8 +151,7 @@ def write_table_csv(rows: list[TableRow], path, config: ExperimentConfig,
                     label_name: str = "h") -> None:
     """Main CSV (3 significant digits, deterministic) plus a full-precision sidecar."""
     header = (f"# objective={config.objective} kappa={config.kappa:g} "
-              f"eps={config.eps:g} seed={config.seed} tau={config.tau:g} "
-              f"nu={config.nu:g}\n")
+              f"eps={config.eps:g} seed={config.seed} tau=0 nu=0\n")
     with open(path, "w", newline="") as fh:
         fh.write(header)
         fh.write(f"{label_name},rel_l2_a,rel_l2_u,rel_linf_a,rel_linf_u,iterations\n")

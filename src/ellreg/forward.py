@@ -50,8 +50,8 @@ class RegularizationSchedule:
 
     def __post_init__(self):
         for e in self.entries:
-            if e.eps < 0 or min(e.tau, e.nu, e.delta) < 0:
-                raise ValueError("schedule entries need eps, tau, nu, delta >= 0")
+            if min(e.eps, e.tau, e.nu, e.delta, e.kappa) < 0:
+                raise ValueError("schedule entries need eps, tau, nu, delta, kappa >= 0")
 
     def __len__(self):
         return len(self.entries)
@@ -63,11 +63,11 @@ class RegularizationSchedule:
         return self.entries[i]
 
 
-def default_schedule(n_entries: int = 8, eps0: float = 1e-1, rho: float = 0.5) -> RegularizationSchedule:
-    """eps_n = eps0*rho^n, tau_n = eps_n^2, nu_n = delta_n = eps_n^(3/2), kappa_n = eps_n."""
+def default_schedule(n_entries: int = 8, eps0: float = 1e-1) -> RegularizationSchedule:
+    """eps_n = eps0/2^n, tau_n = eps_n^2, nu_n = delta_n = eps_n^(3/2), kappa_n = eps_n."""
     entries = []
     for k in range(n_entries):
-        eps = eps0 * rho**k
+        eps = eps0 * 0.5**k
         entries.append(ScheduleEntry(eps=eps, tau=eps**2, nu=eps**1.5, delta=eps**1.5, kappa=eps))
     return RegularizationSchedule(entries=tuple(entries))
 

@@ -12,9 +12,6 @@ Hessian action is its solves plus sparse matrix-vector products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -23,46 +20,12 @@ from .forward import RegularizedForwardOperator
 from .mesh import Mesh
 
 
-@dataclass(frozen=True)
-class Regularizer:
-    """Convex parameter regularizer: squared H1 norm or smoothed TV."""
-
-    kind: str = "h1"  # "h1" or "tv"
-    beta: float = 1e-6  # TV smoothing only
-
-    def __post_init__(self):
-        if self.kind not in ("h1", "tv"):
-            raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        if self.kind == "tv" and self.beta <= 0:
-            raise ValueError("TV smoothing beta must be positive")
-
-
-def regularizer_eval(reg: Regularizer, mesh: Mesh, A: np.ndarray):
-    """Return (value, gradient, hessian_action) of the regularizer at A."""
+def regularizer_eval(mesh: Mesh, A: np.ndarray):
+    """Return (value, gradient, hessian_action) of the H1 term 1/2 A'WA at A."""
     A = np.asarray(A, dtype=float)
-    if reg.kind == "h1":
-        Wm = assembly.shared_s_matrix(mesh)
-        g = Wm @ A
-        return 0.5 * float(A @ g), g, lambda d: Wm @ d
-    # smoothed TV: sum_T area * sqrt(|grad a|^2 + beta^2)
-    tris = mesh.triangles
-    ga = np.einsum("tid,ti->td", mesh.grads, A[tris])  # (T, 2)
-    s = np.sqrt(np.sum(ga * ga, axis=1) + reg.beta**2)
-    value = float(np.sum(mesh.areas * s))
-    contrib = (mesh.areas / s)[:, None] * np.einsum("tid,td->ti", mesh.grads, ga)
-    grad = mesh.scatter_add(tris, contrib)
-
-    def hess_action(d):
-        dt = np.asarray(d, dtype=float)[tris]
-        gd = np.einsum("tid,ti->td", mesh.grads, dt)
-        # d/dA [ area * B^T g / s ] = area * (B^T B d / s - B^T g (g . B d) / s^3)
-        c = (mesh.areas / s)[:, None] * np.einsum("tid,td->ti", mesh.grads, gd)
-        c -= (mesh.areas * np.einsum("td,td->t", ga, gd) / s**3)[:, None] * np.einsum(
-            "tid,td->ti", mesh.grads, ga
-        )
-        return mesh.scatter_add(tris, c)
-
-    return value, grad, hess_action
+    Wm = assembly.shared_s_matrix(mesh)
+    g = Wm @ A
+    return 0.5 * float(A @ g), g, lambda d: Wm @ d
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +103,8 @@ def mols_preconditioner(mesh: Mesh, A: np.ndarray, V: np.ndarray, kappa: float) 
 
 
 def mols_optimality_residual(op: RegularizedForwardOperator, V: np.ndarray, Z: np.ndarray,
-                             A: np.ndarray, kappa: float, reg: Optional[Regularizer],
-                             c1: float, c2: float, n_random: int = 32,
-                             seed: int = 0) -> float:
+                             A: np.ndarray, kappa: float, c1: float, c2: float,
+                             n_random: int = 32, seed: int = 0) -> float:
     """Worst sampled violation of the MOLS variational-inequality condition.
 
     Evaluates -1/2 T_tau(a - A, V+Z, V-Z) - kappa*(R(A) - R(a)) over box-face
@@ -152,31 +114,24 @@ def mols_optimality_residual(op: RegularizedForwardOperator, V: np.ndarray, Z: n
     V = np.asarray(V, dtype=float)
     Z = np.asarray(Z, dtype=float)
     g = -0.5 * assembly.apply_Lt(op.mesh, V + Z, V - Z, op.tau)
-    return _vi_residual(op.mesh, g, A, kappa, reg, c1, c2, n_random, seed)
+    return _vi_residual(op.mesh, g, A, kappa, c1, c2, n_random, seed)
 
 
 def ols_optimality_residual(op: RegularizedForwardOperator, V: np.ndarray, P_adj: np.ndarray,
-                            A: np.ndarray, kappa: float, reg: Optional[Regularizer],
-                            c1: float, c2: float, n_random: int = 32,
-                            seed: int = 0) -> float:
+                            A: np.ndarray, kappa: float, c1: float, c2: float,
+                            n_random: int = 32, seed: int = 0) -> float:
     """Worst sampled violation of T_tau(a - A, V, p) >= kappa*(R(A) - R(a))."""
     g = assembly.apply_Lt(op.mesh, np.asarray(V, dtype=float), np.asarray(P_adj, dtype=float), op.tau)
-    return _vi_residual(op.mesh, g, A, kappa, reg, c1, c2, n_random, seed)
+    return _vi_residual(op.mesh, g, A, kappa, c1, c2, n_random, seed)
 
 
-def _vi_residual(mesh: Mesh, g: np.ndarray, A: np.ndarray, kappa: float,
-                 reg: Optional[Regularizer], c1: float, c2: float, n_random: int,
-                 seed: int) -> float:
+def _vi_residual(mesh: Mesh, g: np.ndarray, A: np.ndarray, kappa: float, c1: float,
+                 c2: float, n_random: int, seed: int) -> float:
     """min over sampled a of (a - A) . g - kappa*(R(A) - R(a)), g the misfit gradient."""
     A = np.asarray(A, dtype=float)
-    with_reg = kappa != 0.0 and reg is not None
-    if with_reg:
-        RA, _, _ = regularizer_eval(reg, mesh, A)
-    worst = np.inf
-    for a in _vi_samples(A, c1, c2, n_random, seed):
-        rhs = kappa * (RA - regularizer_eval(reg, mesh, a)[0]) if with_reg else 0.0
-        worst = min(worst, float((a - A) @ g) - rhs)
-    return worst
+    RA = regularizer_eval(mesh, A)[0]
+    return min(float((a - A) @ g) - kappa * (RA - regularizer_eval(mesh, a)[0])
+               for a in _vi_samples(A, c1, c2, n_random, seed))
 
 
 def _vi_samples(A: np.ndarray, c1: float, c2: float, n_random: int, seed: int):

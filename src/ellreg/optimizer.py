@@ -30,17 +30,17 @@ ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the line search
 BACKTRACK = 0.5  # step shrink factor per rejected trial
 CG_MAX_ITERS = 200
 CG_TOL = 1e-8  # relative residual of the Newton-CG solve
+GRAD_TOL = 1e-8  # stopping test: projected gradient relative to its initial norm
 
 
 @dataclass
 class SolveOptions:
     objective: str = "ols"  # "ols" or "mols"
     max_iters: int = 500
-    grad_tol: float = 1e-8  # relative to the initial projected-gradient norm
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.max_iters <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.max_iters <= 0:
+            raise ValueError("max_iters must be positive")
 
 
 @dataclass
@@ -76,19 +76,15 @@ class IdentificationProblem:
     mesh: Mesh
     P_exact: np.ndarray
     Z_exact: np.ndarray
-    reg: obj.Regularizer
     c1: float = 0.1
     c2: float = 10.0
     noise: noise_mod.NoiseSpec = noise_mod.NoiseSpec(seed=0)
-    ell_mode: str = "zero"  # or "data-steered"
 
     def entry_data(self, entry):
-        """Perturbed data vector and load for one schedule entry."""
+        """Perturbed data vector and data-steered load P + eps*W*z_delta for one entry."""
         Z_d = noise_mod.perturb_data(self.Z_exact, self.noise, entry.delta)
         P = noise_mod.perturb_functional(self.P_exact, self.mesh, self.noise, entry.nu)
-        if self.ell_mode == "data-steered":
-            P = P + entry.eps * (assembly.shared_s_matrix(self.mesh) @ Z_d)
-        return Z_d, P
+        return Z_d, P + entry.eps * (assembly.shared_s_matrix(self.mesh) @ Z_d)
 
     def operator(self, A, entry) -> RegularizedForwardOperator:
         return RegularizedForwardOperator(self.mesh, A, eps=entry.eps, tau=entry.tau)
@@ -127,7 +123,7 @@ class _EntryObjective:
         op = pr.operator(A, self.entry)
         V = op.solve_state(self.P)
         misfit_value = obj.ols_value if self.objective == "ols" else obj.mols_value
-        reg = obj.regularizer_eval(pr.reg, pr.mesh, A)
+        reg = obj.regularizer_eval(pr.mesh, A)
         value = misfit_value(op, V, self.Z) + self.entry.kappa * reg[0]
         return value, (A, V, op, reg)
 
@@ -216,7 +212,7 @@ def _minimize_entry(fun: _EntryObjective, A0, opts: SolveOptions, c1, c2):
         pg = np.linalg.norm(project_box(A - grad, c1, c2) - A)
         row = EntryLogRow(it, value, pg)
         log.append(row)
-        if pg <= opts.grad_tol * max(pg0, 1e-300):
+        if pg <= GRAD_TOL * max(pg0, 1e-300):
             termination = "grad_tol"
             break
         p, row.cg_iters = _cg(hess, grad, CG_TOL, CG_MAX_ITERS, diag)

@@ -246,8 +246,7 @@ def test_criterion_09_optimality_residuals():
         ("mols", None),
     ):
         problem = IdentificationProblem(
-            mesh=prob.mesh, P_exact=prob.P, Z_exact=prob.Z,
-            reg=obj.Regularizer(kind="h1"), noise=NoiseSpec(seed=0))
+            mesh=prob.mesh, P_exact=prob.P, Z_exact=prob.Z, noise=NoiseSpec(seed=0))
         opts = SolveOptions(objective=objective)
         res = minimize(problem, sched, opts, np.full(prob.mesh.node_count, 5.05))
         assert res.success
@@ -259,10 +258,10 @@ def test_criterion_09_optimality_residuals():
             if objective == "ols":
                 p_adj = op.solve_adjoint(V, Z)
                 r = obj.ols_optimality_residual(op, V, p_adj, A_star, entry.kappa,
-                                                problem.reg, 0.1, 10.0)
+                                                0.1, 10.0)
             else:
                 r = obj.mols_optimality_residual(op, V, Z, A_star, entry.kappa,
-                                                 problem.reg, 0.1, 10.0)
+                                                 0.1, 10.0)
             assert r >= -1e-6
             violations.append(max(0.0, -r))
         assert violations[-1] <= violations[0] + 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy as sym
 
-from ellreg import assembly, objectives as obj
+from ellreg import assembly
 from ellreg.mesh import Mesh, build_unit_square
 from jittered import examples, random_mesh, random_meshes
 
@@ -200,16 +200,6 @@ def test_load_compatibility_decreases():
         vals.append(abs(np.ones(mesh.node_count) @ P))
     assert vals[0] < 1e-10  # compatible load: discrete total is near zero
     assert vals[2] <= vals[0] + 1e-12
-
-
-def test_smoothed_tv_of_linear_field():
-    mesh = build_unit_square(4)
-    A = 2.0 * mesh.nodes[:, 0]  # |grad| = 2 everywhere
-    beta = 1e-3
-    tv, _, _ = obj.regularizer_eval(obj.Regularizer(kind="tv", beta=beta), mesh, A)
-    assert tv == pytest.approx(np.sqrt(4.0 + beta**2), rel=1e-12)
-    with pytest.raises(ValueError):
-        obj.Regularizer(kind="tv", beta=0.0)
 
 
 def test_dimension_mismatch_rejected():

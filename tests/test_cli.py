@@ -50,9 +50,10 @@ def test_failure_exit_codes(tmp_path):
 
 
 def test_unexpected_error_exit_code(tmp_path, capsys):
-    rc = main(["table1", "--n", "-3", "--out", str(tmp_path)])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    for flags in (["--n", "-3"], ["--n", "6", "--kappa", "-1"]):
+        rc = main(["table1", *flags, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
 
 
 def test_config_file_overrides_flags(tmp_path):

@@ -87,7 +87,7 @@ def test_failure_demo_statuses(monkeypatch):
     rep = exp.run_failure_demo(cfg0, n=12)
     assert rep["status"] == "failed"
     assert "singular" in rep["reason"]
-    cfg1 = exp.ExperimentConfig(eps=1e-4, max_iters=100)
+    cfg1 = exp.ExperimentConfig(eps=1e-4)
     rep1 = exp.run_failure_demo(cfg1, n=12)
     assert rep1["status"] == "success"
     assert rep1["condition_estimate"] < 1e9

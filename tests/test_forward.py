@@ -164,8 +164,9 @@ def test_schedule_default_ratios():
 
 
 def test_schedule_validation():
-    # a negative eps, data-noise level delta or functional-noise level nu
-    for bad in (dict(eps=-1e-3), dict(delta=-0.1), dict(nu=-1e-9)):
+    # a negative eps, data-noise level delta, functional-noise level nu or
+    # regularization weight kappa
+    for bad in (dict(eps=-1e-3), dict(delta=-0.1), dict(nu=-1e-9), dict(kappa=-1e-3)):
         entry = ScheduleEntry(**{**dict(eps=1e-3, tau=0, nu=0, delta=0, kappa=0), **bad})
         with pytest.raises(ValueError):
             RegularizationSchedule(entries=(entry,))
