@@ -1,7 +1,8 @@
 """Command-line entry point for the reconstruction experiments and probes.
 
-Exit codes: 0 success, 2 expected structured failure (the singular-system
-demo), 1 anything unexpected.
+Each subcommand takes only the flags its handler reads, plus ``--config
+FILE``. Exit codes: 0 success, 2 expected structured failure (the
+singular-system demo), 1 anything else, usage errors included.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from .forward import default_schedule
 from .setvalued import ContingentProbe
 
 
-def _parse_config_file(path):
-    """Simple key=value file; blank lines and '#' comments ignored."""
-    values = {}
+def _config_tokens(path):
+    """``key = value`` lines as ``--key=value`` tokens; blank lines and '#' comments ignored."""
+    tokens = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -27,56 +28,41 @@ def _parse_config_file(path):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, val = (t.strip() for t in line.split("=", 1))
-        values[key] = val
-    return values
+        if key == "config":
+            raise ValueError(f"{path}:{lineno}: a config file cannot name another")
+        tokens.append(f"--{key}={val}")
+    return tokens
 
 
-_CONFIG_TYPES = {"n": int, "seed": int, "kappa": float, "eps": float,
-                 "delta": float, "objective": str, "out": str}
-
-
-def _apply_config(args, path):
-    """Config-file values take precedence over command-line flags."""
-    for key, val in _parse_config_file(path).items():
-        if key not in _CONFIG_TYPES:
-            raise ValueError(f"unknown config key {key!r}")
-        setattr(args, key, _CONFIG_TYPES[key](val))
-    return args
-
-
-def _add_common(p):
-    p.add_argument("--n", type=int, default=None, help="mesh subdivisions per side")
-    p.add_argument("--kappa", type=float, default=1e-4)
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--objective", choices=["ols", "mols"], default="ols")
-    p.add_argument("--out", type=str, default=".")
-    p.add_argument("--config", type=str, default=None,
-                   help="key=value file; entries override flags")
+_FLAGS = {
+    "n": dict(type=int, default=None, help="mesh subdivisions per side"),
+    "kappa": dict(type=float, default=1e-4),
+    "eps": dict(type=float, default=1e-4),
+    "delta": dict(type=float, default=0.0),
+    "seed": dict(type=int, default=0),
+    "objective": dict(choices=["ols", "mols"], default="ols"),
+    "out": dict(type=str, default="."),
+}
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="ellreg")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("table1", "table2", "table3", "failure",
-                 "probe-fcd", "probe-scd", "check-gradients"):
-        _add_common(sub.add_parser(name))
+    for name, (_, flags) in _COMMANDS.items():
+        # no abbreviations, so a config key is a flag spelled in full
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.add_argument("--config", type=str, default=None,
+                       help="key = value file of this command's flags; entries override them")
     return ap
 
 
-def _table_config(args, **overrides):
-    """Config from the flags; ``overrides`` win over them, ``--n`` over both."""
-    values = dict(objective=args.objective, kappa=args.kappa, eps=args.eps,
-                  seed=args.seed)
-    cfg = exp.ExperimentConfig(**{**values, **overrides})
+def _run_table(args, out_name, label_name="h", **fields):
+    """Table from the flags and ``fields``; ``--n`` wins over ``fields``' mesh sizes."""
+    cfg = exp.ExperimentConfig(kappa=args.kappa, eps=args.eps, seed=args.seed, **fields)
     if args.n is not None:
         cfg.mesh_sizes = (args.n,)
-    return cfg
-
-
-def _run_table(args, out_name, label_name="h", **overrides):
-    cfg = _table_config(args, **overrides)
     rows = exp.run_table(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -91,7 +77,7 @@ def _run_table(args, out_name, label_name="h", **overrides):
 
 
 def _cmd_table1(args):
-    return _run_table(args, "table1.csv")
+    return _run_table(args, "table1.csv", objective=args.objective)
 
 
 def _cmd_table2(args):
@@ -100,8 +86,8 @@ def _cmd_table2(args):
 
 def _cmd_table3(args):
     deltas = (args.delta,) if args.delta else (1e-1, 1e-2, 1e-3)
-    return _run_table(args, "table3.csv", label_name="delta", deltas=deltas,
-                      mesh_sizes=(80,))
+    return _run_table(args, "table3.csv", label_name="delta",
+                      objective=args.objective, deltas=deltas, mesh_sizes=(80,))
 
 
 def _cmd_failure(args):
@@ -171,23 +157,27 @@ def _cmd_check_gradients(args):
     return 0 if ok else 1
 
 
-_COMMANDS = {
-    "table1": _cmd_table1,
-    "table2": _cmd_table2,
-    "table3": _cmd_table3,
-    "failure": _cmd_failure,
-    "probe-fcd": _cmd_probe_fcd,
-    "probe-scd": _cmd_probe_scd,
-    "check-gradients": _cmd_check_gradients,
+_COMMANDS = {  # handler and the flags it reads
+    "table1": (_cmd_table1, ("n", "kappa", "eps", "seed", "objective", "out")),
+    "table2": (_cmd_table2, ("n", "kappa", "eps", "seed", "out")),
+    "table3": (_cmd_table3, ("n", "kappa", "eps", "delta", "seed", "objective", "out")),
+    "failure": (_cmd_failure, ("n", "kappa", "eps", "seed", "objective")),
+    "probe-fcd": (_cmd_probe_fcd, ("n", "seed", "out")),
+    "probe-scd": (_cmd_probe_scd, ("n", "seed", "out")),
+    "check-gradients": (_cmd_check_gradients, ("n", "eps", "seed")),
 }
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
-        if args.config:
-            _apply_config(args, args.config)
-        return _COMMANDS[args.command](args)
+        args = parser.parse_args(argv)
+        if args.config:  # its entries become flags, parsed after (so over) argv's
+            args = parser.parse_args([*argv, *_config_tokens(args.config)])
+        return _COMMANDS[args.command][0](args)
+    except SystemExit as stop:  # only argparse exits: 0 after --help, 2 on a usage error
+        return 1 if stop.code else 0
     except BrokenPipeError:
         return 1
     except Exception as err:  # any unexpected error maps to exit code 1

@@ -87,11 +87,10 @@ class RegularizedForwardOperator:
         if tau < 0:
             raise ValueError("tau must be nonnegative")
         self.mesh = mesh
-        self.A = np.asarray(A, dtype=float).copy()
         self.eps = float(eps)
         self.tau = float(tau)
         if K_tau is None:
-            K_tau = assembly.assemble_perturbed_stiffness(mesh, self.A, tau)
+            K_tau = assembly.assemble_perturbed_stiffness(mesh, A, tau)
         self.K_tau = K_tau
         self.W = assembly.shared_s_matrix(mesh)
         self.M = assembly.shared_mass(mesh)

@@ -100,48 +100,3 @@ def mols_preconditioner(mesh: Mesh, A: np.ndarray, V: np.ndarray, kappa: float) 
     w = mesh.areas * np.sum(gv * gv, axis=1) / np.asarray(A, dtype=float)[tris].mean(axis=1)
     diag_mw = mesh.scatter_add(tris, np.repeat(w[:, None] / 6.0, 3, axis=1))
     return diag_mw + kappa * assembly.shared_s_matrix(mesh).diagonal()
-
-
-def mols_optimality_residual(op: RegularizedForwardOperator, V: np.ndarray, Z: np.ndarray,
-                             A: np.ndarray, kappa: float, c1: float, c2: float,
-                             n_random: int = 32, seed: int = 0) -> float:
-    """Worst sampled violation of the MOLS variational-inequality condition.
-
-    Evaluates -1/2 T_tau(a - A, V+Z, V-Z) - kappa*(R(A) - R(a)) over box-face
-    points and seeded random interior points; at a minimizer the minimum must
-    be >= -tol.
-    """
-    V = np.asarray(V, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    g = -0.5 * assembly.apply_Lt(op.mesh, V + Z, V - Z, op.tau)
-    return _vi_residual(op.mesh, g, A, kappa, c1, c2, n_random, seed)
-
-
-def ols_optimality_residual(op: RegularizedForwardOperator, V: np.ndarray, P_adj: np.ndarray,
-                            A: np.ndarray, kappa: float, c1: float, c2: float,
-                            n_random: int = 32, seed: int = 0) -> float:
-    """Worst sampled violation of T_tau(a - A, V, p) >= kappa*(R(A) - R(a))."""
-    g = assembly.apply_Lt(op.mesh, np.asarray(V, dtype=float), np.asarray(P_adj, dtype=float), op.tau)
-    return _vi_residual(op.mesh, g, A, kappa, c1, c2, n_random, seed)
-
-
-def _vi_residual(mesh: Mesh, g: np.ndarray, A: np.ndarray, kappa: float, c1: float,
-                 c2: float, n_random: int, seed: int) -> float:
-    """min over sampled a of (a - A) . g - kappa*(R(A) - R(a)), g the misfit gradient."""
-    A = np.asarray(A, dtype=float)
-    RA = regularizer_eval(mesh, A)[0]
-    return min(float((a - A) @ g) - kappa * (RA - regularizer_eval(mesh, a)[0])
-               for a in _vi_samples(A, c1, c2, n_random, seed))
-
-
-def _vi_samples(A: np.ndarray, c1: float, c2: float, n_random: int, seed: int):
-    """Box-face points (one coordinate moved to each bound) plus random interior points."""
-    m = len(A)
-    for i in range(m):
-        for bound in (c1, c2):
-            a = A.copy()
-            a[i] = bound
-            yield a
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    for _ in range(n_random):
-        yield rng.uniform(c1, c2, size=m)

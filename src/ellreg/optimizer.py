@@ -31,16 +31,16 @@ BACKTRACK = 0.5  # step shrink factor per rejected trial
 CG_MAX_ITERS = 200
 CG_TOL = 1e-8  # relative residual of the Newton-CG solve
 GRAD_TOL = 1e-8  # stopping test: projected gradient relative to its initial norm
+MAX_ITERS = 500  # Newton steps per schedule entry
 
 
 @dataclass
 class SolveOptions:
     objective: str = "ols"  # "ols" or "mols"
-    max_iters: int = 500
 
     def __post_init__(self):
-        if self.max_iters <= 0:
-            raise ValueError("max_iters must be positive")
+        if self.objective not in ("ols", "mols"):
+            raise ValueError(f"objective must be 'ols' or 'mols', got {self.objective!r}")
 
 
 @dataclass
@@ -201,14 +201,14 @@ def _cg(hess, g, tol, max_iters, diag=None):
     return p, actions
 
 
-def _minimize_entry(fun: _EntryObjective, A0, opts: SolveOptions, c1, c2):
+def _minimize_entry(fun: _EntryObjective, A0, c1, c2):
     A = project_box(A0, c1, c2)
     log = []
     value, state = fun.evaluate(A)
     grad, hess, diag = fun.derivatives(state)
     pg0 = np.linalg.norm(project_box(A - grad, c1, c2) - A)
     termination = "max_iters"
-    for it in range(opts.max_iters):
+    for it in range(MAX_ITERS):
         pg = np.linalg.norm(project_box(A - grad, c1, c2) - A)
         row = EntryLogRow(it, value, pg)
         log.append(row)
@@ -248,7 +248,7 @@ def _minimize_entry(fun: _EntryObjective, A0, opts: SolveOptions, c1, c2):
         A, value, state = A_try, v_try, s_try
         grad, hess, diag = fun.derivatives(state)
     else:
-        it = opts.max_iters - 1
+        it = MAX_ITERS - 1
     _, V, op, _ = state
     return A, V, op, log, termination, it + 1
 
@@ -265,7 +265,7 @@ def minimize(problem: IdentificationProblem, schedule: RegularizationSchedule,
         fun = _EntryObjective(problem, entry, opts.objective)
         try:
             A_new, V, op, log, termination, iters = _minimize_entry(
-                fun, A, opts, problem.c1, problem.c2)
+                fun, A, problem.c1, problem.c2)
         except SingularSystemError as err:
             return ReconstructionResult(
                 success=False,

@@ -59,10 +59,10 @@ class ContingentProbe:
     A_bar: np.ndarray
     P: np.ndarray
     dA: np.ndarray
+    schedule: RegularizationSchedule
     dA2: np.ndarray = None
-    schedule: RegularizationSchedule = None
     coercive: bool = False
-    records: list = field(default_factory=list)
+    records: list = field(default_factory=list, init=False)
 
     def __post_init__(self):
         mesh = self.mesh

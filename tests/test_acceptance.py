@@ -241,10 +241,7 @@ def test_criterion_08_eps_zero_failure_demo():
 def test_criterion_09_optimality_residuals():
     prob = ManufacturedProblem.build(8)
     sched = default_schedule(n_entries=4, eps0=1e-2)
-    for objective, residual_fn in (
-        ("ols", None),
-        ("mols", None),
-    ):
+    for objective in ("ols", "mols"):
         problem = IdentificationProblem(
             mesh=prob.mesh, P_exact=prob.P, Z_exact=prob.Z, noise=NoiseSpec(seed=0))
         opts = SolveOptions(objective=objective)
@@ -257,11 +254,11 @@ def test_criterion_09_optimality_residuals():
             V = op.solve_state(P)
             if objective == "ols":
                 p_adj = op.solve_adjoint(V, Z)
-                r = obj.ols_optimality_residual(op, V, p_adj, A_star, entry.kappa,
-                                                0.1, 10.0)
+                r = oracles.ols_optimality_residual(op, V, p_adj, A_star, entry.kappa,
+                                                    0.1, 10.0)
             else:
-                r = obj.mols_optimality_residual(op, V, Z, A_star, entry.kappa,
-                                                 0.1, 10.0)
+                r = oracles.mols_optimality_residual(op, V, Z, A_star, entry.kappa,
+                                                     0.1, 10.0)
             assert r >= -1e-6
             violations.append(max(0.0, -r))
         assert violations[-1] <= violations[0] + 1e-12

@@ -50,7 +50,9 @@ def test_failure_exit_codes(tmp_path):
 
 
 def test_unexpected_error_exit_code(tmp_path, capsys):
-    for flags in (["--n", "-3"], ["--n", "6", "--kappa", "-1"]):
+    # argparse usage errors exit 1 too; 2 is kept for the failure demo
+    for flags in (["--n", "-3"], ["--n", "6", "--kappa", "-1"], ["--bogus", "1"],
+                  ["--n", "six"]):
         rc = main(["table1", *flags, "--out", str(tmp_path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
@@ -69,9 +71,53 @@ def test_config_file_overrides_flags(tmp_path):
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("bogus = 1\n")
-    assert main(["table1", "--config", str(cfg)]) == 1
+    # config entries parse as the command's own flags
+    cases = {
+        ("table1", "bogus = 1\n"): "unrecognized arguments",
+        ("table1", "objective = bogus\n"): "invalid choice",
+        ("probe-fcd", "eps = 1e-3\n"): "unrecognized arguments",
+        ("table1", "ep = 1e-3\n"): "unrecognized arguments",  # no abbreviations
+        ("table1", "n = 6\nconfig = other.cfg\n"): "cannot name another",
+        ("table1", "n 6\n"): "expected key=value",
+    }
+    for (command, text), message in cases.items():
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main([command, "--out", str(tmp_path), "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+    assert main(["table1", "--config", str(tmp_path / "missing.cfg")]) == 1
+
+
+# the value flags each subcommand's handler reads; each also takes --config
+_READS = {
+    "table1": {"n", "kappa", "eps", "seed", "objective", "out"},
+    "table2": {"n", "kappa", "eps", "seed", "out"},
+    "table3": {"n", "kappa", "eps", "delta", "seed", "objective", "out"},
+    "failure": {"n", "kappa", "eps", "seed", "objective"},
+    "probe-fcd": {"n", "seed", "out"},
+    "probe-scd": {"n", "seed", "out"},
+    "check-gradients": {"n", "eps", "seed"},
+}
+_VALUES = {"n": "6", "kappa": "0.5", "eps": "0.25", "delta": "0.125", "seed": "3",
+           "objective": "mols", "out": "x"}
+
+
+def test_each_command_accepts_only_the_flags_it_reads(capsys):
+    parser = build_parser()
+    for command, reads in _READS.items():
+        assert set(vars(parser.parse_args([command]))) == reads | {"command", "config"}
+        for flag, value in _VALUES.items():
+            argv = [command, f"--{flag}", value]
+            if flag in reads:
+                assert str(getattr(parser.parse_args(argv), flag)) == value
+            else:
+                assert main(argv) == 1, argv
+                assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["table1", "--help"]) == 0
+    assert "--objective" in capsys.readouterr().out
 
 
 def test_probe_fcd_writes_csv(tmp_path, monkeypatch):

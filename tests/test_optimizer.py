@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from jittered import examples
 
-from ellreg import assembly, objectives as obj, optimizer
+from ellreg import assembly, objectives as obj, optimizer, oracles
 from ellreg.experiments import ExperimentConfig, ManufacturedProblem, run_cell
 from ellreg.forward import (
     RegularizationSchedule,
@@ -77,8 +77,7 @@ def test_iterates_stay_in_box():
 def test_schedule_warm_start_improves():
     prob, problem = _problem(8)
     sched = default_schedule(n_entries=4, eps0=1e-2)
-    res = minimize(problem, sched, SolveOptions(max_iters=100),
-                   np.full(prob.mesh.node_count, 5.05))
+    res = minimize(problem, sched, SolveOptions(), np.full(prob.mesh.node_count, 5.05))
     assert res.success
     errs = [np.abs(a - 1.0).mean() for a in res.entry_solutions]
     assert errs[-1] <= errs[0] + 1e-12
@@ -106,8 +105,8 @@ def test_empty_schedule_rejected():
 
 
 def test_solve_options_validation():
-    with pytest.raises(ValueError):
-        SolveOptions(max_iters=0)
+    with pytest.raises(ValueError, match="objective"):
+        SolveOptions(objective="bogus")
 
 
 def test_ols_vi_residual_at_minimizer():
@@ -119,8 +118,8 @@ def test_ols_vi_residual_at_minimizer():
     Z, P = problem.entry_data(entry)
     op = problem.operator(res.A, entry)
     V = op.solve_state(P)
-    r = obj.ols_optimality_residual(op, V, op.solve_adjoint(V, Z), res.A, entry.kappa,
-                                    problem.c1, problem.c2)
+    r = oracles.ols_optimality_residual(op, V, op.solve_adjoint(V, Z), res.A, entry.kappa,
+                                        problem.c1, problem.c2)
     assert r >= -1e-6
 
 
@@ -213,7 +212,7 @@ def test_rejected_trial_point_not_evaluated_again(monkeypatch):
     assert len(seen) < 1 + sum(row.trials for row in result.entry_logs[0])
 
 
-def test_cg_returns_truncated_direction_after_three_shifts():
+def test_cg_returns_truncated_direction_after_three_shifts(monkeypatch):
     # the Rayleigh quotients CG meets underestimate the eigenvalue -100, so
     # each shift still leaves H + shift*I indefinite and all three attempts
     # end on negative curvature; _cg then returns the last attempt's iterate
@@ -242,8 +241,8 @@ def test_cg_returns_truncated_direction_after_three_shifts():
             return g + lam * state[0], lambda d: lam * d, None
 
     A0 = np.zeros(5)
-    A, _, _, log, termination, _ = optimizer._minimize_entry(
-        Quadratic(), A0, SolveOptions(max_iters=1), -10.0, 10.0)
+    monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
+    A, _, _, log, termination, _ = optimizer._minimize_entry(Quadratic(), A0, -10.0, 10.0)
     # _minimize_entry keeps the returned descent direction (no fallback to
     # -grad) and its full step passes the Armijo test
     assert log[0].cg_iters == 6 and log[0].trials == 1

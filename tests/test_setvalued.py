@@ -93,6 +93,16 @@ def test_distinct_second_direction():
     assert scd[-1] < scd[0]
 
 
+def test_probe_requires_schedule_and_owns_records():
+    prob = ManufacturedProblem.build(4)
+    args = dict(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P,
+                dA=np.ones(prob.mesh.node_count))
+    with pytest.raises(TypeError, match="schedule"):
+        ContingentProbe(**args)
+    with pytest.raises(TypeError, match="records"):
+        ContingentProbe(**args, schedule=default_schedule(), records=[])
+
+
 def test_csv_columns(probe, tmp_path):
     path = tmp_path / "probe.csv"
     probe.write_csv(path)
