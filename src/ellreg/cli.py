@@ -38,7 +38,7 @@ _FLAGS = {
     "n": dict(type=int, default=None, help="mesh subdivisions per side"),
     "kappa": dict(type=float, default=1e-4),
     "eps": dict(type=float, default=1e-4),
-    "delta": dict(type=float, default=0.0),
+    "delta": dict(type=float, default=None, help="one noise level (default: 1e-1, 1e-2, 1e-3)"),
     "seed": dict(type=int, default=0),
     "objective": dict(choices=["ols", "mols"], default="ols"),
     "out": dict(type=str, default="."),
@@ -85,7 +85,7 @@ def _cmd_table2(args):
 
 
 def _cmd_table3(args):
-    deltas = (args.delta,) if args.delta else (1e-1, 1e-2, 1e-3)
+    deltas = (1e-1, 1e-2, 1e-3) if args.delta is None else (args.delta,)
     return _run_table(args, "table3.csv", label_name="delta",
                       objective=args.objective, deltas=deltas, mesh_sizes=(80,))
 

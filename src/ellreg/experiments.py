@@ -14,15 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assembly, noise as noise_mod
-from .forward import (
-    RegularizationSchedule,
-    RegularizedForwardOperator,
-    ScheduleEntry,
-    SingularSystemError,
-)
+from . import assembly
+from .forward import RegularizedForwardOperator, ScheduleEntry, SingularSystemError
 from .mesh import Mesh, build_unit_square, interpolate
-from .optimizer import IdentificationProblem, SolveOptions, minimize
+from .optimizer import IdentificationProblem, minimize
 
 
 def u_exact(x, y):
@@ -105,18 +100,16 @@ def run_cell(config: ExperimentConfig, n: int, delta: float = 0.0):
     prob_data = ManufacturedProblem.build(n)
     mesh = prob_data.mesh
     entry = ScheduleEntry(eps=config.eps, tau=0.0, nu=0.0, delta=delta, kappa=config.kappa)
-    schedule = RegularizationSchedule(entries=(entry,))
     problem = IdentificationProblem(
         mesh=mesh,
         P_exact=prob_data.P,
         Z_exact=prob_data.Z,
         c1=config.c1, c2=config.c2,
-        noise=noise_mod.NoiseSpec(seed=config.seed),
+        seed=config.seed,
     )
-    opts = SolveOptions(objective=config.objective)
     A0 = np.full(mesh.node_count, 0.5 * (config.c1 + config.c2))
     t0 = time.perf_counter()
-    result = minimize(problem, schedule, opts, A0)
+    result = minimize(problem, (entry,), config.objective, A0)
     wall = time.perf_counter() - t0
     if not result.success:
         return result, None, wall
@@ -140,8 +133,7 @@ def run_table(config: ExperimentConfig) -> list[TableRow]:
     for (n, delta), label in zip(cells, labels):
         result, errs, wall = run_cell(config, n, delta)
         if errs is None:
-            raise SingularSystemError(result.failure_reason,
-                                      result.condition_estimate or np.inf)
+            raise SingularSystemError(result.failure_reason, result.condition_estimate)
         rows.append(TableRow(label=label, iterations=result.iterations,
                              wall_time=wall, **errs))
     return rows

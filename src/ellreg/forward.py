@@ -35,49 +35,36 @@ class SingularSystemError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScheduleEntry:
+    """One step of the coupled decay of (eps, tau, nu, delta, kappa); a schedule
+    is a tuple of them."""
+
     eps: float
     tau: float
     nu: float
     delta: float
     kappa: float
 
-
-@dataclass(frozen=True)
-class RegularizationSchedule:
-    """Coupled decay of (eps, tau, nu, delta, kappa) with the ratio conditions."""
-
-    entries: tuple
-
     def __post_init__(self):
-        for e in self.entries:
-            if min(e.eps, e.tau, e.nu, e.delta, e.kappa) < 0:
-                raise ValueError("schedule entries need eps, tau, nu, delta, kappa >= 0")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
+        if min(self.eps, self.tau, self.nu, self.delta, self.kappa) < 0:
+            raise ValueError("schedule entries need eps, tau, nu, delta, kappa >= 0")
 
 
-def default_schedule(n_entries: int = 8, eps0: float = 1e-1) -> RegularizationSchedule:
+def default_schedule(n_entries: int = 8, eps0: float = 1e-1) -> tuple:
     """eps_n = eps0/2^n, tau_n = eps_n^2, nu_n = delta_n = eps_n^(3/2), kappa_n = eps_n."""
     entries = []
     for k in range(n_entries):
         eps = eps0 * 0.5**k
         entries.append(ScheduleEntry(eps=eps, tau=eps**2, nu=eps**1.5, delta=eps**1.5, kappa=eps))
-    return RegularizationSchedule(entries=tuple(entries))
+    return tuple(entries)
 
 
 class RegularizedForwardOperator:
     """Factorized handle for [K_tau(A) + eps*W] at fixed (A, eps, tau).
 
-    Immutable after factorization; repeated solves reuse the factorization.
-    ``K_tau`` is K_tau(A) at this tau when the caller has it assembled
-    already; otherwise it is assembled here.
+    Factorized on construction, which raises ``SingularSystemError`` for a
+    singular system; repeated solves reuse the factorization. ``K_tau`` is
+    K_tau(A) at this tau when the caller has it assembled already; otherwise
+    it is assembled here.
     """
 
     def __init__(self, mesh: Mesh, A: np.ndarray, eps: float, tau: float = 0.0,
@@ -96,18 +83,11 @@ class RegularizedForwardOperator:
         self.M = assembly.shared_mass(mesh)
         self.system = (self.K_tau + self.eps * self.W).tocsc()
         self._system_norm = spla.norm(self.system, np.inf)
-        self._lu = None
-        self.condition_estimate = None
-        self.near_singular = False
-
-    def _factorize(self):
-        if self._lu is not None:
-            return
         # constant-mode generalized eigenvalue lam_c = eps + tau*int(a):
         # the stiffness part annihilates constants, so this resolves levels far
         # below what LU pivots can certify. The tau contribution is measured
         # from the assembled matrix with a roundoff floor; the eps part is exact.
-        ones = np.ones(self.mesh.node_count)
+        ones = np.ones(mesh.node_count)
         t_term = (ones @ (self.K_tau @ ones)) / (ones @ (self.W @ ones))
         if t_term < 256.0 * np.finfo(float).eps * self._system_norm:
             t_term = 0.0
@@ -122,17 +102,15 @@ class RegularizedForwardOperator:
                 self.condition_estimate,
             )
         self.near_singular = lam_c < LAMBDA_WARN
-        lu = spla.splu(self.system, permc_spec="MMD_AT_PLUS_A",
-                       options={"SymmetricMode": True})
-        udiag = np.abs(lu.U.diagonal())
+        self._lu = spla.splu(self.system, permc_spec="MMD_AT_PLUS_A",
+                             options={"SymmetricMode": True})
+        udiag = np.abs(self._lu.U.diagonal())
         umax = udiag.max()
         # pivot-ratio fallback catches degeneracies unrelated to the constant mode
         if umax > 0 and udiag.min() / umax < 1e-12:
             self.near_singular = True
-        self._lu = lu
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        self._factorize()
         x = self._lu.solve(rhs)
         # backward-stability scale: |b| alone misjudges solves whose solution
         # is amplified by the 1/eps constant mode
@@ -146,7 +124,7 @@ class RegularizedForwardOperator:
         if scale > 0 and res > 1e-8 * scale:
             raise SingularSystemError(
                 f"solve did not reach tolerance (relative residual {res / scale:.3e})",
-                self.condition_estimate or np.inf,
+                self.condition_estimate,
             )
         return x
 

@@ -136,29 +136,23 @@ def build_unit_square(n: int) -> Mesh:
     def idx(i, j):
         return j * (n + 1) + i
 
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            a, b = idx(i, j), idx(i + 1, j)
-            c, d = idx(i + 1, j + 1), idx(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    triangles = np.asarray(tris, dtype=np.int64)
+    # cells row-major (j outer, i inner), each split into (a, b, c) and (a, c, d)
+    j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    a, b, c, d = idx(i, j), idx(i + 1, j), idx(i + 1, j + 1), idx(i, j + 1)
+    triangles = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
 
-    edges = []
-    for i in range(n):  # bottom, left to right
-        edges.append((idx(i, 0), idx(i + 1, 0)))
-    for j in range(n):  # right, bottom to top
-        edges.append((idx(n, j), idx(n, j + 1)))
-    for i in range(n):  # top
-        edges.append((idx(i + 1, n), idx(i, n)))
-    for j in range(n):  # left
-        edges.append((idx(0, j + 1), idx(0, j)))
+    k = np.arange(n, dtype=np.int64)
+    edges = np.concatenate([
+        np.column_stack([idx(k, 0), idx(k + 1, 0)]),  # bottom, left to right
+        np.column_stack([idx(n, k), idx(n, k + 1)]),  # right, bottom to top
+        np.column_stack([idx(k + 1, n), idx(k, n)]),  # top
+        np.column_stack([idx(0, k + 1), idx(0, k)]),  # left
+    ])
 
     return Mesh(
         nodes=nodes,
         triangles=triangles,
-        boundary_edges=np.asarray(edges, dtype=np.int64),
+        boundary_edges=edges,
         h=float(np.sqrt(2.0) / n),
     )
 

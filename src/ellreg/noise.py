@@ -1,13 +1,11 @@
 """Deterministic data and functional perturbations.
 
 All randomness flows through the counter-based Philox generator keyed by
-(seed, stream), so identical specs reproduce identical bits and parallel
+(seed, stream), so identical seeds reproduce identical bits and parallel
 table cells can draw independent streams without shared state.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,28 +18,22 @@ STREAM_DATA = 0
 STREAM_FUNCTIONAL = 1
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Seed of the perturbations; each call takes its level (a schedule entry's delta or nu)."""
-
-    seed: int
-
-    def generator(self, stream: int) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=[int(self.seed), int(stream)]))
+def generator(seed: int, stream: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
 
 
-def perturb_data(Z: np.ndarray, spec: NoiseSpec, delta: float) -> np.ndarray:
+def perturb_data(Z: np.ndarray, seed: int, delta: float) -> np.ndarray:
     """Z + delta * eta with eta ~ U[0,1] i.i.d. per node."""
     if delta < 0.0:
         raise ValueError("data-noise level delta must be >= 0")
     Z = np.asarray(Z, dtype=float)
     if delta == 0.0:
         return Z.copy()
-    eta = spec.generator(STREAM_DATA).uniform(0.0, 1.0, size=Z.shape)
+    eta = generator(seed, STREAM_DATA).uniform(0.0, 1.0, size=Z.shape)
     return Z + delta * eta
 
 
-def perturb_functional(P: np.ndarray, mesh: Mesh, spec: NoiseSpec, nu: float) -> np.ndarray:
+def perturb_functional(P: np.ndarray, mesh: Mesh, seed: int, nu: float) -> np.ndarray:
     """Add a pseudorandom functional of discrete dual norm exactly nu.
 
     The perturbation is the L2 pairing with a seeded random nodal field,
@@ -53,6 +45,6 @@ def perturb_functional(P: np.ndarray, mesh: Mesh, spec: NoiseSpec, nu: float) ->
     P = np.asarray(P, dtype=float)
     if nu == 0.0:
         return P.copy()
-    r = spec.generator(STREAM_FUNCTIONAL).uniform(0.0, 1.0, size=P.shape)
+    r = generator(seed, STREAM_FUNCTIONAL).uniform(0.0, 1.0, size=P.shape)
     q = assembly.shared_mass(mesh) @ r
     return P + nu * q / riesz_dual_norm(mesh, q)

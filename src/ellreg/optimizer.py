@@ -19,11 +19,7 @@ import numpy as np
 from . import assembly
 from . import noise as noise_mod
 from . import objectives as obj
-from .forward import (
-    RegularizationSchedule,
-    RegularizedForwardOperator,
-    SingularSystemError,
-)
+from .forward import RegularizedForwardOperator, SingularSystemError
 from .mesh import Mesh
 
 ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the line search
@@ -32,15 +28,6 @@ CG_MAX_ITERS = 200
 CG_TOL = 1e-8  # relative residual of the Newton-CG solve
 GRAD_TOL = 1e-8  # stopping test: projected gradient relative to its initial norm
 MAX_ITERS = 500  # Newton steps per schedule entry
-
-
-@dataclass
-class SolveOptions:
-    objective: str = "ols"  # "ols" or "mols"
-
-    def __post_init__(self):
-        if self.objective not in ("ols", "mols"):
-            raise ValueError(f"objective must be 'ols' or 'mols', got {self.objective!r}")
 
 
 @dataclass
@@ -64,9 +51,11 @@ class ReconstructionResult:
     condition_estimate: Optional[float] = None  # of the final (or the failing) operator
     near_singular: bool = False  # the final operator's near-singularity flag
     entry_logs: list = field(default_factory=list)  # one list of EntryLogRow per entry
-    entry_params: list = field(default_factory=list)  # the ScheduleEntry used
     entry_solutions: list = field(default_factory=list)  # A* after each entry
-    iterations: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return sum(len(log) for log in self.entry_logs)
 
 
 @dataclass
@@ -78,12 +67,12 @@ class IdentificationProblem:
     Z_exact: np.ndarray
     c1: float = 0.1
     c2: float = 10.0
-    noise: noise_mod.NoiseSpec = noise_mod.NoiseSpec(seed=0)
+    seed: int = 0  # of the data and functional noise
 
     def entry_data(self, entry):
         """Perturbed data vector and data-steered load P + eps*W*z_delta for one entry."""
-        Z_d = noise_mod.perturb_data(self.Z_exact, self.noise, entry.delta)
-        P = noise_mod.perturb_functional(self.P_exact, self.mesh, self.noise, entry.nu)
+        Z_d = noise_mod.perturb_data(self.Z_exact, self.seed, entry.delta)
+        P = noise_mod.perturb_functional(self.P_exact, self.mesh, self.seed, entry.nu)
         return Z_d, P + entry.eps * (assembly.shared_s_matrix(self.mesh) @ Z_d)
 
     def operator(self, A, entry) -> RegularizedForwardOperator:
@@ -247,24 +236,24 @@ def _minimize_entry(fun: _EntryObjective, A0, c1, c2):
             break
         A, value, state = A_try, v_try, s_try
         grad, hess, diag = fun.derivatives(state)
-    else:
-        it = MAX_ITERS - 1
     _, V, op, _ = state
-    return A, V, op, log, termination, it + 1
+    return A, V, op, log, termination
 
 
-def minimize(problem: IdentificationProblem, schedule: RegularizationSchedule,
-             opts: SolveOptions, A0: np.ndarray) -> ReconstructionResult:
-    """Minimize the composite objective at every schedule entry, warm-started."""
+def minimize(problem: IdentificationProblem, schedule: tuple, objective: str,
+             A0: np.ndarray) -> ReconstructionResult:
+    """Minimize the composite objective ("ols" or "mols") at every entry of
+    ``schedule``, a tuple of ``ScheduleEntry``, warm-started."""
+    if objective not in ("ols", "mols"):
+        raise ValueError(f"objective must be 'ols' or 'mols', got {objective!r}")
     if len(schedule) == 0:
         raise ValueError("schedule must be nonempty")
     result = ReconstructionResult(success=True)
     A = project_box(np.asarray(A0, dtype=float), problem.c1, problem.c2)
-    V = None
     for entry in schedule:
-        fun = _EntryObjective(problem, entry, opts.objective)
+        fun = _EntryObjective(problem, entry, objective)
         try:
-            A_new, V, op, log, termination, iters = _minimize_entry(
+            A_new, V, op, log, termination = _minimize_entry(
                 fun, A, problem.c1, problem.c2)
         except SingularSystemError as err:
             return ReconstructionResult(
@@ -272,15 +261,12 @@ def minimize(problem: IdentificationProblem, schedule: RegularizationSchedule,
                 failure_reason=str(err),
                 condition_estimate=err.condition_estimate,
                 termination="singular_system",
-                entry_params=list(result.entry_params),
                 entry_logs=list(result.entry_logs),
             )
         A = A_new
         result.entry_logs.append(log)
-        result.entry_params.append(entry)
         result.entry_solutions.append(A.copy())
         result.termination = termination
-        result.iterations += iters
     result.A = A
     result.V = V
     result.condition_estimate = op.condition_estimate

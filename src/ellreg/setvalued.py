@@ -18,7 +18,6 @@ import scipy.sparse as sp
 
 from . import assembly
 from .forward import (
-    RegularizationSchedule,
     RegularizedForwardOperator,
     mean_zero_projection,
     riesz_dual_norm,
@@ -59,7 +58,7 @@ class ContingentProbe:
     A_bar: np.ndarray
     P: np.ndarray
     dA: np.ndarray
-    schedule: RegularizationSchedule
+    schedule: tuple  # of ScheduleEntry
     dA2: np.ndarray = None
     coercive: bool = False
     records: list = field(default_factory=list, init=False)
@@ -143,9 +142,7 @@ class ContingentProbe:
         return self._dual_residual(r)
 
     def boundedness_report(self) -> dict:
-        """Sup of sensitivity norms plus the fitted state-gap rate in eps."""
-        if not self.records:
-            self.run()
+        """Sup of sensitivity norms plus the fitted state-gap rate in eps, after ``run``."""
         sens = np.array([r.sens_norm for r in self.records])
         gaps = np.array([r.state_gap for r in self.records])
         eps = np.array([r.eps for r in self.records])

@@ -18,13 +18,11 @@ from ellreg.experiments import (
     run_table,
 )
 from ellreg.forward import (
-    RegularizationSchedule,
     RegularizedForwardOperator,
     ScheduleEntry,
     default_schedule,
 )
-from ellreg.noise import NoiseSpec
-from ellreg.optimizer import IdentificationProblem, SolveOptions, minimize
+from ellreg.optimizer import IdentificationProblem, minimize
 from ellreg.setvalued import ContingentProbe
 
 
@@ -243,12 +241,11 @@ def test_criterion_09_optimality_residuals():
     sched = default_schedule(n_entries=4, eps0=1e-2)
     for objective in ("ols", "mols"):
         problem = IdentificationProblem(
-            mesh=prob.mesh, P_exact=prob.P, Z_exact=prob.Z, noise=NoiseSpec(seed=0))
-        opts = SolveOptions(objective=objective)
-        res = minimize(problem, sched, opts, np.full(prob.mesh.node_count, 5.05))
+            mesh=prob.mesh, P_exact=prob.P, Z_exact=prob.Z, seed=0)
+        res = minimize(problem, sched, objective, np.full(prob.mesh.node_count, 5.05))
         assert res.success
         violations = []
-        for entry, A_star in zip(res.entry_params, res.entry_solutions):
+        for entry, A_star in zip(sched, res.entry_solutions):
             Z, P = problem.entry_data(entry)
             op = problem.operator(A_star, entry)
             V = op.solve_state(P)

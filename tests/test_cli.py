@@ -39,9 +39,12 @@ def test_table1_small_run(tmp_path, capsys):
 def test_table2_and_table3_small_runs(tmp_path):
     assert main(["table2", "--n", "6", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "table2.csv").read_text().startswith("# objective=mols")
-    assert main(["table3", "--n", "6", "--delta", "1e-2", "--out", str(tmp_path)]) == 0
-    lines = (tmp_path / "table3.csv").read_text().splitlines()
-    assert lines[1].startswith("delta,") and lines[2].startswith("1e-02,")
+    # one row at the given level; --delta 0 is the noise-free row, not the sweep
+    for delta, label in (("1e-2", "1e-02,"), ("0", "0e+00,")):
+        assert main(["table3", "--n", "6", "--delta", delta, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "table3.csv").read_text().splitlines()
+        assert len(lines) == 3
+        assert lines[1].startswith("delta,") and lines[2].startswith(label)
 
 
 def test_failure_exit_codes(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from ellreg import assembly
 from ellreg.experiments import ManufacturedProblem
 from ellreg.forward import (
-    RegularizationSchedule,
     RegularizedForwardOperator,
     ScheduleEntry,
     SingularSystemError,
@@ -41,9 +40,8 @@ def test_system_spd_for_positive_eps(prob):
 
 def test_singular_at_eps_zero(prob):
     A = np.ones(prob.mesh.node_count)
-    op = RegularizedForwardOperator(prob.mesh, A, eps=0.0)
     with pytest.raises(SingularSystemError) as exc:
-        op.solve_state(prob.P)
+        RegularizedForwardOperator(prob.mesh, A, eps=0.0)
     assert exc.value.condition_estimate > 1e12
 
 
@@ -167,13 +165,12 @@ def test_schedule_validation():
     # a negative eps, data-noise level delta, functional-noise level nu or
     # regularization weight kappa
     for bad in (dict(eps=-1e-3), dict(delta=-0.1), dict(nu=-1e-9), dict(kappa=-1e-3)):
-        entry = ScheduleEntry(**{**dict(eps=1e-3, tau=0, nu=0, delta=0, kappa=0), **bad})
-        with pytest.raises(ValueError):
-            RegularizationSchedule(entries=(entry,))
-    bad = RegularizationSchedule(entries=(
+        with pytest.raises(ValueError, match="kappa >= 0"):
+            ScheduleEntry(**{**dict(eps=1e-3, tau=0, nu=0, delta=0, kappa=0), **bad})
+    bad = (
         ScheduleEntry(eps=1e-2, tau=1e-4, nu=0, delta=0, kappa=1e-2),
         ScheduleEntry(eps=1e-1, tau=1e-2, nu=0, delta=0, kappa=1e-1),
-    ))
+    )
     assert not _ratios_decrease(bad)
 
 

@@ -28,6 +28,41 @@ def test_node_ordering_row_major():
     assert np.allclose(mesh.nodes[-1], [1.0, 1.0])
 
 
+def _loop_connectivity(n):
+    """Triangles and boundary edges of build_unit_square(n), built cell by cell."""
+    def idx(i, j):
+        return j * (n + 1) + i
+
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            a, b, c, d = idx(i, j), idx(i + 1, j), idx(i + 1, j + 1), idx(i, j + 1)
+            tris += [(a, b, c), (a, c, d)]
+    edges = ([(idx(i, 0), idx(i + 1, 0)) for i in range(n)]
+             + [(idx(n, j), idx(n, j + 1)) for j in range(n)]
+             + [(idx(i + 1, n), idx(i, n)) for i in range(n)]
+             + [(idx(0, j + 1), idx(0, j)) for j in range(n)])
+    return tris, edges
+
+
+def test_triangle_and_edge_order():
+    # assembly scatters in triangle order, so the order fixes the summed bits
+    mesh = build_unit_square(2)
+    assert mesh.nodes.tolist() == [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0],
+                                   [0.0, 0.5], [0.5, 0.5], [1.0, 0.5],
+                                   [0.0, 1.0], [0.5, 1.0], [1.0, 1.0]]
+    assert mesh.triangles.tolist() == [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
+                                       [3, 4, 7], [3, 7, 6], [4, 5, 8], [4, 8, 7]]
+    assert mesh.boundary_edges.tolist() == [[0, 1], [1, 2], [2, 5], [5, 8],
+                                            [7, 6], [8, 7], [3, 0], [6, 3]]
+    for n in (1, 2, 3, 7):
+        mesh = build_unit_square(n)
+        tris, edges = _loop_connectivity(n)
+        assert mesh.triangles.dtype == mesh.boundary_edges.dtype == np.int64
+        assert mesh.triangles.tolist() == [list(t) for t in tris]
+        assert mesh.boundary_edges.tolist() == [list(e) for e in edges]
+
+
 def test_gradients_reproduce_linear_functions():
     mesh = build_unit_square(5)
     coeffs = 2.0 * mesh.nodes[:, 0] - 3.0 * mesh.nodes[:, 1] + 0.25

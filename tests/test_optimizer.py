@@ -5,23 +5,13 @@ from jittered import examples
 
 from ellreg import assembly, objectives as obj, optimizer, oracles
 from ellreg.experiments import ExperimentConfig, ManufacturedProblem, run_cell
-from ellreg.forward import (
-    RegularizationSchedule,
-    ScheduleEntry,
-    default_schedule,
-)
-from ellreg.noise import NoiseSpec
-from ellreg.optimizer import (
-    IdentificationProblem,
-    SolveOptions,
-    minimize,
-    project_box,
-)
+from ellreg.forward import ScheduleEntry, default_schedule
+from ellreg.optimizer import IdentificationProblem, minimize, project_box
 
 
 def _problem(n, **kwargs):
     prob = ManufacturedProblem.build(n)
-    defaults = dict(mesh=prob.mesh, P_exact=prob.P, Z_exact=prob.Z, noise=NoiseSpec(seed=0))
+    defaults = dict(mesh=prob.mesh, P_exact=prob.P, Z_exact=prob.Z, seed=0)
     defaults.update(kwargs)
     return prob, IdentificationProblem(**defaults)
 
@@ -52,9 +42,7 @@ def test_project_box(n, seed, c1, width):
 @pytest.mark.parametrize("objective", ["ols", "mols"])
 def test_reconstruction_recovers_unit_coefficient(objective):
     prob, problem = _problem(12)
-    sched = RegularizationSchedule(entries=(_entry(),))
-    opts = SolveOptions(objective=objective)
-    res = minimize(problem, sched, opts, np.full(prob.mesh.node_count, 5.05))
+    res = minimize(problem, (_entry(),), objective, np.full(prob.mesh.node_count, 5.05))
     assert res.success
     if objective == "ols":
         assert np.abs(res.A - 1.0).max() < 0.2
@@ -68,8 +56,7 @@ def test_reconstruction_recovers_unit_coefficient(objective):
 
 def test_iterates_stay_in_box():
     prob, problem = _problem(8, c1=0.9, c2=1.5)
-    sched = RegularizationSchedule(entries=(_entry(),))
-    res = minimize(problem, sched, SolveOptions(), np.full(prob.mesh.node_count, 1.2))
+    res = minimize(problem, (_entry(),), "ols", np.full(prob.mesh.node_count, 1.2))
     assert res.success
     assert np.all(res.A >= 0.9) and np.all(res.A <= 1.5)
 
@@ -77,19 +64,17 @@ def test_iterates_stay_in_box():
 def test_schedule_warm_start_improves():
     prob, problem = _problem(8)
     sched = default_schedule(n_entries=4, eps0=1e-2)
-    res = minimize(problem, sched, SolveOptions(), np.full(prob.mesh.node_count, 5.05))
+    res = minimize(problem, sched, "ols", np.full(prob.mesh.node_count, 5.05))
     assert res.success
     errs = [np.abs(a - 1.0).mean() for a in res.entry_solutions]
     assert errs[-1] <= errs[0] + 1e-12
-    assert len(res.entry_params) == 4
+    assert len(res.entry_solutions) == len(res.entry_logs) == 4
 
 
 def test_eps_zero_entry_gives_structured_failure():
     prob, problem = _problem(10)
-    sched = RegularizationSchedule(entries=(
-        ScheduleEntry(eps=0.0, tau=0.0, nu=0.0, delta=0.0, kappa=1e-4),))
-    res = minimize(problem, sched, SolveOptions(),
-                   np.full(prob.mesh.node_count, 5.05))
+    sched = (ScheduleEntry(eps=0.0, tau=0.0, nu=0.0, delta=0.0, kappa=1e-4),)
+    res = minimize(problem, sched, "ols", np.full(prob.mesh.node_count, 5.05))
     assert not res.success
     assert res.termination == "singular_system"
     assert "singular" in res.failure_reason
@@ -100,20 +85,21 @@ def test_eps_zero_entry_gives_structured_failure():
 def test_empty_schedule_rejected():
     prob, problem = _problem(4)
     with pytest.raises(ValueError):
-        minimize(problem, RegularizationSchedule(entries=()), SolveOptions(),
-                 np.ones(prob.mesh.node_count))
+        minimize(problem, (), "ols", np.ones(prob.mesh.node_count))
 
 
 def test_solve_options_validation():
-    with pytest.raises(ValueError, match="objective"):
-        SolveOptions(objective="bogus")
+    # the objective is checked before anything else, an empty schedule included
+    prob, problem = _problem(4)
+    for schedule in ((_entry(),), ()):
+        with pytest.raises(ValueError, match="objective must be 'ols' or 'mols', got 'bogus'"):
+            minimize(problem, schedule, "bogus", np.ones(prob.mesh.node_count))
 
 
 def test_ols_vi_residual_at_minimizer():
     prob, problem = _problem(8)
     entry = _entry()
-    sched = RegularizationSchedule(entries=(entry,))
-    res = minimize(problem, sched, SolveOptions(), np.full(prob.mesh.node_count, 5.05))
+    res = minimize(problem, (entry,), "ols", np.full(prob.mesh.node_count, 5.05))
     assert res.success
     Z, P = problem.entry_data(entry)
     op = problem.operator(res.A, entry)
@@ -154,8 +140,7 @@ def test_tensors_assembled_once_per_state(objective, monkeypatch):
     action = f"{objective}_hessian_action"
     monkeypatch.setattr(obj, action, counted("hessian_actions", getattr(obj, action)))
     monkeypatch.setattr(optimizer, "_cg", counted("newton_steps", optimizer._cg))
-    res = minimize(problem, sched, SolveOptions(objective=objective),
-                   np.full(prob.mesh.node_count, 5.05))
+    res = minimize(problem, sched, objective, np.full(prob.mesh.node_count, 5.05))
     assert res.success and res.termination == "grad_tol"
     # a log row per state that got derivatives: the start of each entry and
     # every accepted trial; a rejected trial builds no tensor
@@ -242,7 +227,7 @@ def test_cg_returns_truncated_direction_after_three_shifts(monkeypatch):
 
     A0 = np.zeros(5)
     monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
-    A, _, _, log, termination, _ = optimizer._minimize_entry(Quadratic(), A0, -10.0, 10.0)
+    A, _, _, log, termination = optimizer._minimize_entry(Quadratic(), A0, -10.0, 10.0)
     # _minimize_entry keeps the returned descent direction (no fallback to
     # -grad) and its full step passes the Armijo test
     assert log[0].cg_iters == 6 and log[0].trials == 1

@@ -13,7 +13,7 @@ from ellreg.forward import (
     riesz_dual_norm,
     solve_neumann_mean_zero,
 )
-from ellreg.noise import NoiseSpec, perturb_functional
+from ellreg.noise import perturb_functional
 from ellreg.setvalued import ContingentProbe
 
 
@@ -209,5 +209,5 @@ def test_s_matrix_factorized_once_per_mesh(monkeypatch):
         ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P,
                         dA=rng.uniform(-1, 1, prob.mesh.node_count),
                         schedule=default_schedule(n_entries=2)).run()
-    perturb_functional(prob.P, prob.mesh, NoiseSpec(seed=0), 1e-3)
+    perturb_functional(prob.P, prob.mesh, 0, 1e-3)
     assert len(factorized) == 1
