@@ -35,8 +35,10 @@ class SingularSystemError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScheduleEntry:
-    """One step of the coupled decay of (eps, tau, nu, delta, kappa); a schedule
-    is a tuple of them."""
+    """One step of the coupled decay of (eps, tau, nu, delta, kappa).
+
+    A schedule is a tuple of entries.
+    """
 
     eps: float
     tau: float

@@ -19,6 +19,7 @@ STREAM_FUNCTIONAL = 1
 
 
 def generator(seed: int, stream: int) -> np.random.Generator:
+    """The Philox generator keyed by ``[seed, stream]``."""
     return np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
 
 

@@ -242,8 +242,10 @@ def _minimize_entry(fun: _EntryObjective, A0, c1, c2):
 
 def minimize(problem: IdentificationProblem, schedule: tuple, objective: str,
              A0: np.ndarray) -> ReconstructionResult:
-    """Minimize the composite objective ("ols" or "mols") at every entry of
-    ``schedule``, a tuple of ``ScheduleEntry``, warm-started."""
+    """Minimize the composite objective at every schedule entry, warm-started.
+
+    ``schedule`` is a tuple of ``ScheduleEntry``; ``objective`` is "ols" or "mols".
+    """
     if objective not in ("ols", "mols"):
         raise ValueError(f"objective must be 'ols' or 'mols', got {objective!r}")
     if len(schedule) == 0:
