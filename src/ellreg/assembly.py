@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .mesh import Mesh
 
@@ -92,11 +91,6 @@ def shared_mass(mesh: Mesh) -> sp.csr_matrix:
 def shared_s_matrix(mesh: Mesh) -> sp.csr_matrix:
     """The mesh's H1 Gram matrix W, assembled once per mesh and read-only."""
     return mesh.cached("s_matrix", assemble_s_matrix)
-
-
-def shared_s_factor(mesh: Mesh):
-    """The sparse LU of the mesh's W, factorized once per mesh."""
-    return mesh.cached("s_factor", lambda m: spla.splu(shared_s_matrix(m).tocsc()))
 
 
 def assemble_load(mesh: Mesh, f=None, g=None) -> np.ndarray:

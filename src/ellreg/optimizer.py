@@ -186,7 +186,8 @@ def _cg(hess, g, tol, max_iters, diag=None):
             rz = rz_new
         if neg_curv is None:
             return p, actions
-        shift = max(2.0 * shift, neg_curv + 1e-8)
+        # neg_curv is measured on H + shift*I, so d needs shift + neg_curv
+        shift = max(2.0 * shift, shift + neg_curv + 1e-8)
     return p, actions
 
 

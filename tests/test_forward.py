@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from ellreg import assembly
+from ellreg import assembly, forward
 from ellreg.experiments import ManufacturedProblem
 from ellreg.forward import (
+    LAMBDA_WARN,
     RegularizedForwardOperator,
     ScheduleEntry,
     SingularSystemError,
@@ -13,6 +15,8 @@ from ellreg.forward import (
     solve_neumann_mean_zero,
 )
 from ellreg.mesh import build_unit_square
+from ellreg.optimizer import IdentificationProblem, minimize
+from ellreg.setvalued import ContingentProbe
 
 
 @pytest.fixture(scope="module")
@@ -45,14 +49,57 @@ def test_singular_at_eps_zero(prob):
     assert exc.value.condition_estimate > 1e12
 
 
+def _pivot_ratio(op):
+    udiag = np.abs(op._lu.U.diagonal())
+    return udiag.min() / udiag.max()
+
+
 def test_near_singular_warning_flag(prob):
-    A = np.ones(prob.mesh.node_count)
-    op = RegularizedForwardOperator(prob.mesh, A, eps=1e-12)
-    op.solve_state(prob.P)
-    assert op.near_singular
-    op2 = RegularizedForwardOperator(prob.mesh, A, eps=1e-4)
-    op2.solve_state(prob.P)
-    assert not op2.near_singular
+    mesh = prob.mesh
+    ones = np.ones(mesh.node_count)
+    # coefficient contrast 1e4 to 0: the eps*W rows of the a = 0 half give
+    # pivots far below those of the a = 1e4 half, while the constant-mode
+    # eigenvalue eps stays above LAMBDA_WARN
+    contrast = np.where(mesh.nodes[:, 0] < 0.5, 1e4, 0.0)
+    for A, eps, flagged in [(ones, 1e-12, True), (ones, 1e-4, False),
+                            (contrast, 2e-9, True)]:
+        op = RegularizedForwardOperator(mesh, A, eps=eps)
+        op.solve_state(prob.P)
+        assert "near_singular" not in op.__dict__  # computed on first read only
+        # tau = 0 and K annihilates constants, so the eigenvalue is eps
+        eager = eps < LAMBDA_WARN or _pivot_ratio(op) < 1e-12
+        assert op.near_singular == eager == flagged
+    # the last case is flagged by the pivot ratio alone
+    assert eps >= LAMBDA_WARN and _pivot_ratio(op) < 1e-12
+
+
+def test_every_factorization_uses_one_recipe(monkeypatch):
+    recipe = {"permc_spec": "MMD_AT_PLUS_A", "panel_size": forward.LU_PANEL_SIZE,
+              "options": {"SymmetricMode": True}}
+    assert forward.LU_PANEL_SIZE == 2
+    prob = ManufacturedProblem.build(6)
+    mesh = prob.mesh
+    W = assembly.shared_s_matrix(mesh)
+    calls = []
+    splu = spla.splu
+
+    def recorded(a, *args, **kwargs):
+        calls.append((a.shape == W.shape and (a != W).nnz == 0, args, kwargs))
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recorded)
+    rng = np.random.Generator(np.random.Philox(key=16))
+    ContingentProbe(mesh=mesh, A_bar=prob.A_true, P=prob.P,
+                    dA=rng.uniform(-1, 1, mesh.node_count),
+                    schedule=default_schedule(n_entries=2)).run()
+    solve_neumann_mean_zero(mesh, assembly.assemble_stiffness(mesh, prob.A_true), prob.P)
+    riesz_dual_norm(mesh, rng.standard_normal(mesh.node_count))
+    problem = IdentificationProblem(mesh=mesh, P_exact=prob.P, Z_exact=prob.Z, seed=0)
+    minimize(problem, default_schedule(n_entries=1), "mols",
+             np.full(mesh.node_count, 5.0))
+    assert sum(is_w for is_w, _, _ in calls) == 1  # W's Riesz-map factor
+    assert len(calls) > 4
+    assert all(args == () and kwargs == recipe for _, args, kwargs in calls)
 
 
 def test_negative_eps_tau_rejected(prob):

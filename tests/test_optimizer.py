@@ -234,3 +234,25 @@ def test_cg_returns_truncated_direction_after_three_shifts(monkeypatch):
     assert np.array_equal(A, A0 + p)
     assert Quadratic().evaluate(A)[0] < Quadratic().evaluate(A0)[0]
     assert termination == "max_iters"
+
+
+def test_cg_shift_adds_curvature_of_shifted_operator():
+    # the negative curvature a shifted attempt meets is measured on
+    # H + shift*I, so the next shift is shift + neg_curv: here 0, 1.0e-8,
+    # 1.0003e-6 > 1e-6 and the third attempt solves the shifted system,
+    # where neg_curv alone (9.90e-7) would leave H + shift*I indefinite
+    lam = np.array([-1e-6, 0.0])
+    g = np.array([1e-3, 1.0])
+    restarts = []
+
+    def hess(d):
+        restarts.append(np.array_equal(d, -g))
+        return lam * d
+
+    p, actions = optimizer._cg(hess, g, optimizer.CG_TOL, optimizer.CG_MAX_ITERS)
+    assert sum(restarts) == 3 and actions == len(restarts)
+    # p solves (H + shift*I) p = -g for one shift above -min(lam)
+    shift = -g / p - lam
+    assert shift[0] == pytest.approx(shift[1], rel=1e-6)
+    assert 1e-6 < shift[0] < 1.01e-6
+    assert p @ g < 0
