@@ -3,7 +3,9 @@
 All element integrals involve products of P1 functions only (degree <= 3
 polynomials per triangle) and are assembled from exact closed-form element
 matrices; loads with general right-hand sides use a degree-2 exact
-edge-midpoint rule.
+edge-midpoint rule. Loads are volume sources only: the problem is
+pure-Neumann with zero flux a du/dn on the whole boundary, so there is no
+boundary term.
 
 The trilinear form is T(a, u, v) = int a grad(u).grad(v); its tau-perturbed
 variant adds tau * int a u v, which keeps positivity for a >= 0 and obeys
@@ -93,38 +95,24 @@ def shared_s_matrix(mesh: Mesh) -> sp.csr_matrix:
     return mesh.cached("s_matrix", assemble_s_matrix)
 
 
-def assemble_load(mesh: Mesh, f=None, g=None) -> np.ndarray:
-    """Exact-data load vector P_i = int f phi_i + int_bd g phi_i.
+def assemble_load(mesh: Mesh, f) -> np.ndarray:
+    """Exact-data load vector P_i = int f phi_i.
 
     ``f`` is integrated with the degree-2 exact edge-midpoint rule on each
-    triangle; ``g`` with Simpson's rule on each boundary edge. Noise and the
-    data-steering term are composed on top by the callers (noise module and
-    forward operator).
+    triangle. Noise and the data-steering term are composed on top by the
+    callers (noise module and forward operator).
     """
-    P = np.zeros(mesh.node_count)
-    if f is not None:
-        p = mesh.nodes[mesh.triangles]  # (T, 3, 2)
-        mids = 0.5 * (p + np.roll(p, -1, axis=1))  # midpoints of edges 01,12,20
-        fv = f(mids[..., 0], mids[..., 1])  # (T, 3)
-        fv = np.broadcast_to(np.asarray(fv, dtype=float), mids.shape[:2])
-        # phi_i at midpoint of edge (j, j+1) is 1/2 when i in {j, j+1}
-        w = mesh.areas / 6.0
-        contrib = np.empty((len(mesh.triangles), 3))
-        contrib[:, 0] = w * (fv[:, 0] + fv[:, 2])
-        contrib[:, 1] = w * (fv[:, 0] + fv[:, 1])
-        contrib[:, 2] = w * (fv[:, 1] + fv[:, 2])
-        P += mesh.scatter_add(mesh.triangles, contrib)
-    if g is not None:
-        a = mesh.nodes[mesh.boundary_edges[:, 0]]
-        b = mesh.nodes[mesh.boundary_edges[:, 1]]
-        mid = 0.5 * (a + b)
-        length = np.linalg.norm(b - a, axis=1)
-        ga = np.broadcast_to(np.asarray(g(a[:, 0], a[:, 1]), dtype=float), length.shape)
-        gb = np.broadcast_to(np.asarray(g(b[:, 0], b[:, 1]), dtype=float), length.shape)
-        gm = np.broadcast_to(np.asarray(g(mid[:, 0], mid[:, 1]), dtype=float), length.shape)
-        ends = np.column_stack([ga + 2.0 * gm, gb + 2.0 * gm]) * (length / 6.0)[:, None]
-        P += mesh.scatter_add(mesh.boundary_edges, ends)
-    return P
+    p = mesh.nodes[mesh.triangles]  # (T, 3, 2)
+    mids = 0.5 * (p + np.roll(p, -1, axis=1))  # midpoints of edges 01,12,20
+    fv = f(mids[..., 0], mids[..., 1])  # (T, 3)
+    fv = np.broadcast_to(np.asarray(fv, dtype=float), mids.shape[:2])
+    # phi_i at midpoint of edge (j, j+1) is 1/2 when i in {j, j+1}
+    w = mesh.areas / 6.0
+    contrib = np.empty((len(mesh.triangles), 3))
+    contrib[:, 0] = w * (fv[:, 0] + fv[:, 2])
+    contrib[:, 1] = w * (fv[:, 0] + fv[:, 1])
+    contrib[:, 2] = w * (fv[:, 1] + fv[:, 2])
+    return mesh.scatter_add(contrib)
 
 
 def assemble_L(mesh: Mesh, V: np.ndarray, tau: float = 0.0) -> sp.csr_matrix:

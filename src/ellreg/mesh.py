@@ -21,17 +21,14 @@ class Mesh:
     ----------
     nodes : (N, 2) float array of node coordinates.
     triangles : (T, 3) int array of counterclockwise node indices.
-    boundary_edges : (E, 2) int array of boundary edge endpoints.
-    h : longest edge length.
+    areas : (T,) triangle areas, computed from the two above.
+    grads : (T, 3, 2) gradients of each triangle's P1 basis functions, likewise.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
-    boundary_edges: np.ndarray
-    h: float
-    # cached per-element geometry, filled in __post_init__
-    areas: np.ndarray = field(default=None, repr=False)
-    grads: np.ndarray = field(default=None, repr=False)
+    areas: np.ndarray = field(init=False, repr=False)
+    grads: np.ndarray = field(init=False, repr=False)
     # values derived from the mesh alone, built on first use (see ``cached``)
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -67,13 +64,10 @@ class Mesh:
             self._cache[key] = _read_only(build(self))
         return self._cache[key]
 
-    def scatter_add(self, index: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Nodal vector whose entry i sums the ``values`` at the places where ``index`` is i.
-
-        ``index`` holds node numbers (``triangles`` or ``boundary_edges``) and
-        ``values`` has its shape.
-        """
-        return np.bincount(index.ravel(), weights=values.ravel(),
+    def scatter_add(self, values: np.ndarray) -> np.ndarray:
+        """Nodal vector whose entry i sums the (T, 3) ``values`` at the places
+        where ``triangles`` is i."""
+        return np.bincount(self.triangles.ravel(), weights=values.ravel(),
                            minlength=self.node_count)
 
     def scatter_csr(self, elem: np.ndarray) -> sp.csr_matrix:
@@ -124,8 +118,7 @@ def _read_only(value):
 def build_unit_square(n: int) -> Mesh:
     """Build the uniform n-by-n criss-cross triangulation of the unit square.
 
-    Produces ``(n+1)**2`` nodes, ``2*n**2`` triangles and mesh size
-    ``h = sqrt(2)/n``.
+    Produces ``(n+1)**2`` nodes and ``2*n**2`` triangles.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("n must be a positive integer")
@@ -140,21 +133,7 @@ def build_unit_square(n: int) -> Mesh:
     j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
     a, b, c, d = idx(i, j), idx(i + 1, j), idx(i + 1, j + 1), idx(i, j + 1)
     triangles = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
-
-    k = np.arange(n, dtype=np.int64)
-    edges = np.concatenate([
-        np.column_stack([idx(k, 0), idx(k + 1, 0)]),  # bottom, left to right
-        np.column_stack([idx(n, k), idx(n, k + 1)]),  # right, bottom to top
-        np.column_stack([idx(k + 1, n), idx(k, n)]),  # top
-        np.column_stack([idx(0, k + 1), idx(0, k)]),  # left
-    ])
-
-    return Mesh(
-        nodes=nodes,
-        triangles=triangles,
-        boundary_edges=edges,
-        h=float(np.sqrt(2.0) / n),
-    )
+    return Mesh(nodes=nodes, triangles=triangles)
 
 
 def interpolate(mesh: Mesh, f) -> np.ndarray:

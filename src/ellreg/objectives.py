@@ -98,5 +98,5 @@ def mols_preconditioner(mesh: Mesh, A: np.ndarray, V: np.ndarray, kappa: float) 
     tris = mesh.triangles
     gv = np.einsum("tid,ti->td", mesh.grads, np.asarray(V, dtype=float)[tris])
     w = mesh.areas * np.sum(gv * gv, axis=1) / np.asarray(A, dtype=float)[tris].mean(axis=1)
-    diag_mw = mesh.scatter_add(tris, np.repeat(w[:, None] / 6.0, 3, axis=1))
+    diag_mw = mesh.scatter_add(np.repeat(w[:, None] / 6.0, 3, axis=1))
     return diag_mw + kappa * assembly.shared_s_matrix(mesh).diagonal()

@@ -43,6 +43,15 @@ class EntryLogRow:
 
 @dataclass
 class ReconstructionResult:
+    """Outcome of ``minimize``.
+
+    ``success`` means only that no system was singular; whether the last
+    entry converged is read from ``termination`` ("grad_tol", "max_iters",
+    "linesearch_failure", or "singular_system" when ``success`` is False).
+    On a failure ``A`` and ``V`` are None, and ``entry_logs`` and
+    ``entry_solutions`` keep the entries completed before it.
+    """
+
     success: bool
     A: Optional[np.ndarray] = None
     V: Optional[np.ndarray] = None
@@ -259,13 +268,11 @@ def minimize(problem: IdentificationProblem, schedule: tuple, objective: str,
             A_new, V, op, log, termination = _minimize_entry(
                 fun, A, problem.c1, problem.c2)
         except SingularSystemError as err:
-            return ReconstructionResult(
-                success=False,
-                failure_reason=str(err),
-                condition_estimate=err.condition_estimate,
-                termination="singular_system",
-                entry_logs=list(result.entry_logs),
-            )
+            result.success = False
+            result.failure_reason = str(err)
+            result.condition_estimate = err.condition_estimate
+            result.termination = "singular_system"
+            return result
         A = A_new
         result.entry_logs.append(log)
         result.entry_solutions.append(A.copy())

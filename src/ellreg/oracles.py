@@ -5,8 +5,8 @@ residuals.
 The derivative routes are algebraically independent of the adjoint-state
 scheme in ``objectives``, so the tests and ``ellreg check-gradients`` hold
 the two against each other. Nothing on the reconstruction or probe path
-imports this module. The dense Hessians cost one solve per parameter; small
-meshes only.
+imports this module. The direct gradient and the dense Hessians cost one
+solve per parameter; small meshes only.
 """
 
 from __future__ import annotations
@@ -20,10 +20,14 @@ from .objectives import regularizer_eval
 
 
 def ols_gradient_direct(op: RegularizedForwardOperator, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Direct route: -L(V)^T [K_tau(A)+eps*W]^-1 M (V-Z); no regularizer term."""
-    d = np.asarray(V, dtype=float) - np.asarray(Z, dtype=float)
-    Q = op.solve(op.M @ d)
-    return -assembly.apply_Lt(op.mesh, V, Q, op.tau)
+    """Sensitivity route: g_k = (V-Z)^T M dV_k, dV_k = -[K_tau(A)+eps*W]^-1 L(V) e_k.
+
+    One solve per parameter, no adjoint state; no regularizer term.
+    """
+    V = np.asarray(V, dtype=float)
+    d = V - np.asarray(Z, dtype=float)
+    dV = -np.column_stack([op.solve(c) for c in _dense_L(op, V).T])
+    return dV.T @ (op.M @ d)
 
 
 def _dense_L(op: RegularizedForwardOperator, U: np.ndarray) -> np.ndarray:

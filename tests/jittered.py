@@ -12,8 +12,7 @@ def random_mesh(n, rng):
     nodes = base.nodes.copy()
     inside = (nodes > 0.0) & (nodes < 1.0)
     nodes += np.where(inside, rng.uniform(-0.1, 0.1, nodes.shape) / n, 0.0)
-    return Mesh(nodes=nodes, triangles=base.triangles, boundary_edges=base.boundary_edges,
-                h=base.h)
+    return Mesh(nodes=nodes, triangles=base.triangles)
 
 
 random_meshes = given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))

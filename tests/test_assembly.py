@@ -9,9 +9,7 @@ from jittered import examples, random_mesh, random_meshes
 
 def _single_triangle_mesh(p0, p1, p2):
     nodes = np.array([p0, p1, p2], dtype=float)
-    tris = np.array([[0, 1, 2]])
-    edges = np.array([[0, 1], [1, 2], [2, 0]])
-    return Mesh(nodes=nodes, triangles=tris, boundary_edges=edges, h=1.0)
+    return Mesh(nodes=nodes, triangles=np.array([[0, 1, 2]]))
 
 
 def _sympy_basis(p):
@@ -95,20 +93,6 @@ def test_load_matches_symbolic_integration():
         assert P[i] == pytest.approx(exact, rel=1e-13)
 
 
-def test_boundary_load_matches_symbolic_integration():
-    mesh = build_unit_square(2)
-    g = lambda X, Y: X**2 + 0.5 * Y
-    P = assembly.assemble_load(mesh, g=g)
-    # check the bottom-right corner node (1, 0): adjacent boundary edges are
-    # [1/2,1]x{0} and {1}x[0,1/2]; its trace basis function is linear on each
-    x = sym.symbols("x")
-    exact = (sym.integrate((x**2) * (2 * x - 1), (x, sym.Rational(1, 2), 1))
-             + sym.integrate((1 + sym.Rational(1, 2) * x) * (1 - 2 * x),
-                             (x, 0, sym.Rational(1, 2))))
-    corner = 2  # node index of (1, 0) on the n=2 grid
-    assert P[corner] == pytest.approx(float(exact), rel=1e-13)
-
-
 def test_stiffness_spd_on_mean_zero_complement():
     mesh = build_unit_square(5)
     rng = np.random.Generator(np.random.Philox(key=4))
@@ -132,8 +116,7 @@ def test_element_row_sums_exactly_zero(n, seed):
     A = rng.uniform(0.1, 10.0, size=mesh.node_count)
     T = len(mesh.triangles)
     split = Mesh(nodes=mesh.nodes[mesh.triangles].reshape(-1, 2),
-                 triangles=np.arange(3 * T).reshape(T, 3),
-                 boundary_edges=np.empty((0, 2), dtype=int), h=mesh.h)
+                 triangles=np.arange(3 * T).reshape(T, 3))
     K = assembly.assemble_stiffness(split, A[mesh.triangles].ravel()).toarray()
     blocks = np.stack([K[3 * t:3 * t + 3, 3 * t:3 * t + 3] for t in range(T)])
     for i in range(3):
@@ -208,6 +191,12 @@ def test_dimension_mismatch_rejected():
         assembly.assemble_stiffness(mesh, np.ones(5))
     with pytest.raises(ValueError):
         assembly.apply_L(mesh, np.ones(mesh.node_count), np.ones(3))
+    with pytest.raises(ValueError):
+        assembly.assemble_weighted_mass(mesh, np.ones(5))
+    with pytest.raises(ValueError):
+        assembly.assemble_L(mesh, np.ones(3))
+    with pytest.raises(ValueError):
+        assembly.apply_Lt(mesh, np.ones(mesh.node_count), np.ones(3))
 
 
 @examples
@@ -226,7 +215,7 @@ def test_scatter_matches_add_at(n, seed):
     contrib = rng.standard_normal((len(tris), 3))
     vec = np.zeros(mesh.node_count)
     np.add.at(vec, tris, contrib)
-    assert np.array_equal(mesh.scatter_add(tris, contrib), vec)
+    assert np.array_equal(mesh.scatter_add(contrib), vec)
 
 
 @examples

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from ellreg import experiments as exp
+from ellreg.forward import SingularSystemError
 from ellreg.mesh import build_unit_square
 
 
@@ -70,6 +72,11 @@ def test_run_table_noise_sweep():
     rows = exp.run_table(cfg)
     assert [r.label for r in rows] == ["1e-01", "1e-02"]
     assert rows[0].rel_l2_u > rows[1].rel_l2_u
+
+
+def test_run_table_raises_on_singular_cell():
+    with pytest.raises(SingularSystemError, match="singular"):
+        exp.run_table(exp.ExperimentConfig(eps=0.0, mesh_sizes=(4,)))
 
 
 def test_failure_demo_statuses(monkeypatch):

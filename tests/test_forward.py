@@ -33,6 +33,22 @@ def test_solve_matches_dense(prob):
     assert np.linalg.norm(V - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
+def test_solve_refines_then_raises(prob):
+    # the factor of a system scaled by 1 + 1e-6 is off by 1e-6 relative, which
+    # one refinement step takes to roundoff; the factor of twice the system
+    # leaves a relative residual of 1/4 after it, past tolerance
+    rng = np.random.Generator(np.random.Philox(key=10))
+    A = rng.uniform(0.1, 10.0, size=prob.mesh.node_count)
+    op = RegularizedForwardOperator(prob.mesh, A, eps=1e-3)
+    V = op.solve_state(prob.P)
+    op._lu = forward._factorize((1.0 + 1e-6) * op.system)
+    assert np.linalg.norm(op.solve_state(prob.P) - V) <= 1e-10 * np.linalg.norm(V)
+    op._lu = forward._factorize(2.0 * op.system)
+    with pytest.raises(SingularSystemError, match="did not reach tolerance") as exc:
+        op.solve_state(prob.P)
+    assert exc.value.condition_estimate == op.condition_estimate
+
+
 def test_system_spd_for_positive_eps(prob):
     rng = np.random.Generator(np.random.Philox(key=11))
     A = rng.uniform(0.1, 10.0, size=prob.mesh.node_count)

@@ -9,8 +9,9 @@ def test_counts_and_h():
         mesh = build_unit_square(n)
         assert mesh.node_count == (n + 1) ** 2
         assert len(mesh.triangles) == 2 * n**2
-        assert mesh.h == pytest.approx(np.sqrt(2.0) / n, rel=1e-15)
-        assert len(mesh.boundary_edges) == 4 * n
+        p = mesh.nodes[mesh.triangles]
+        longest = np.linalg.norm(p - np.roll(p, 1, axis=1), axis=2).max()
+        assert longest == pytest.approx(np.sqrt(2.0) / n, rel=1e-15)
 
 
 def test_areas_sum_to_one():
@@ -29,7 +30,7 @@ def test_node_ordering_row_major():
 
 
 def _loop_connectivity(n):
-    """Triangles and boundary edges of build_unit_square(n), built cell by cell."""
+    """Triangles of build_unit_square(n), built cell by cell."""
     def idx(i, j):
         return j * (n + 1) + i
 
@@ -38,11 +39,7 @@ def _loop_connectivity(n):
         for i in range(n):
             a, b, c, d = idx(i, j), idx(i + 1, j), idx(i + 1, j + 1), idx(i, j + 1)
             tris += [(a, b, c), (a, c, d)]
-    edges = ([(idx(i, 0), idx(i + 1, 0)) for i in range(n)]
-             + [(idx(n, j), idx(n, j + 1)) for j in range(n)]
-             + [(idx(i + 1, n), idx(i, n)) for i in range(n)]
-             + [(idx(0, j + 1), idx(0, j)) for j in range(n)])
-    return tris, edges
+    return tris
 
 
 def test_triangle_and_edge_order():
@@ -53,14 +50,10 @@ def test_triangle_and_edge_order():
                                    [0.0, 1.0], [0.5, 1.0], [1.0, 1.0]]
     assert mesh.triangles.tolist() == [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
                                        [3, 4, 7], [3, 7, 6], [4, 5, 8], [4, 8, 7]]
-    assert mesh.boundary_edges.tolist() == [[0, 1], [1, 2], [2, 5], [5, 8],
-                                            [7, 6], [8, 7], [3, 0], [6, 3]]
     for n in (1, 2, 3, 7):
         mesh = build_unit_square(n)
-        tris, edges = _loop_connectivity(n)
-        assert mesh.triangles.dtype == mesh.boundary_edges.dtype == np.int64
-        assert mesh.triangles.tolist() == [list(t) for t in tris]
-        assert mesh.boundary_edges.tolist() == [list(e) for e in edges]
+        assert mesh.triangles.dtype == np.int64
+        assert mesh.triangles.tolist() == [list(t) for t in _loop_connectivity(n)]
 
 
 def test_gradients_reproduce_linear_functions():
@@ -112,6 +105,5 @@ def test_degenerate_triangle_rejected():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     tris = np.array([[0, 1, 2]])
     with pytest.raises(ValueError):
-        Mesh(nodes=nodes, triangles=tris,
-             boundary_edges=np.zeros((0, 2), dtype=int), h=1.0)
+        Mesh(nodes=nodes, triangles=tris)
 

@@ -154,8 +154,7 @@ def test_mols_preconditioner_is_weighted_mass_diagonal():
     nodes = base.nodes.copy()
     inside = (nodes > 0.0) & (nodes < 1.0)
     nodes += np.where(inside, rng.uniform(-0.02, 0.02, nodes.shape), 0.0)
-    mesh = Mesh(nodes=nodes, triangles=base.triangles,
-                boundary_edges=base.boundary_edges, h=base.h)
+    mesh = Mesh(nodes=nodes, triangles=base.triangles)
     A = rng.uniform(0.5, 2.0, size=mesh.node_count)
     V = rng.standard_normal(mesh.node_count)
     kappa = 1e-3

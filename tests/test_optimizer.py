@@ -80,6 +80,12 @@ def test_eps_zero_entry_gives_structured_failure():
     assert "singular" in res.failure_reason
     assert res.condition_estimate is not None
     assert res.A is None
+    # a failing later entry keeps what the entries before it produced
+    prob, problem = _problem(6)
+    sched = (_entry(eps=1e-2), _entry(eps=0.0))
+    res = minimize(problem, sched, "mols", np.full(prob.mesh.node_count, 5.05))
+    assert not res.success and res.termination == "singular_system"
+    assert len(res.entry_logs) == len(res.entry_solutions) == 1
 
 
 def test_empty_schedule_rejected():
