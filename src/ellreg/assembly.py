@@ -19,17 +19,10 @@ import scipy.sparse as sp
 
 from .mesh import Mesh
 
-# integral of phi_k phi_i phi_j over a triangle is area * _C3[k,i,j] / 60
-_C3 = np.ones((3, 3, 3))
-for _k in range(3):
-    for _i in range(3):
-        for _j in range(3):
-            s = {_k, _i, _j}
-            if len(s) == 1:
-                _C3[_k, _i, _j] = 6.0
-            elif len(s) == 2:
-                _C3[_k, _i, _j] = 2.0
-del _k, _i, _j, s
+# integral of phi_k phi_i phi_j over a triangle is area * _C3[k,i,j] / 60, with
+# _C3 = 1 + d_ki + d_kj + d_ij + 2 d_kij: 6 for k = i = j, 2 for two equal, 1 else
+_D = np.eye(3)
+_C3 = 1.0 + _D[:, :, None] + _D[:, None, :] + _D + 2.0 * (_D[:, :, None] * _D)
 
 
 def _grad_products(mesh: Mesh) -> np.ndarray:

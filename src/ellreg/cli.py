@@ -77,7 +77,7 @@ def _run_table(args, out_name, label_name="h", **fields):
 
 
 def _cmd_table1(args):
-    return _run_table(args, "table1.csv", objective=args.objective)
+    return _run_table(args, "table1.csv", objective="ols")
 
 
 def _cmd_table2(args):
@@ -104,7 +104,7 @@ def _cmd_failure(args):
     return 0
 
 
-def _probe(args, second_order):
+def _cmd_probe(args):
     n = args.n if args.n is not None else 20
     prob = exp.ManufacturedProblem.build(n)
     rng = np.random.Generator(np.random.Philox(key=args.seed))
@@ -114,25 +114,16 @@ def _probe(args, second_order):
     probe.run()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    name = "probe_scd.csv" if second_order else "probe_fcd.csv"
-    probe.write_csv(out / name)
+    path = out / "probe.csv"
+    probe.write_csv(path)
     rep = probe.boundedness_report()
-    key = "residual_scd" if second_order else "residual_fcd"
     for r in probe.records:
-        print(f"eps={r.eps:.3e}  {key}={getattr(r, key):.3e}  "
-              f"sens_norm={r.sens_norm:.3e}")
+        print(f"eps={r.eps:.3e}  residual_fcd={r.residual_fcd:.3e}  "
+              f"residual_scd={r.residual_scd:.3e}  sens_norm={r.sens_norm:.3e}")
     print(f"state-gap rate: {rep['state_gap_rate']:.3f}  "
           f"sup sens: {rep['sup_sens_norm']:.3e}")
-    print(f"wrote {out / name}")
+    print(f"wrote {path}")
     return 0
-
-
-def _cmd_probe_fcd(args):
-    return _probe(args, second_order=False)
-
-
-def _cmd_probe_scd(args):
-    return _probe(args, second_order=True)
 
 
 def _cmd_check_gradients(args):
@@ -158,12 +149,11 @@ def _cmd_check_gradients(args):
 
 
 _COMMANDS = {  # handler and the flags it reads
-    "table1": (_cmd_table1, ("n", "kappa", "eps", "seed", "objective", "out")),
+    "table1": (_cmd_table1, ("n", "kappa", "eps", "seed", "out")),
     "table2": (_cmd_table2, ("n", "kappa", "eps", "seed", "out")),
     "table3": (_cmd_table3, ("n", "kappa", "eps", "delta", "seed", "objective", "out")),
     "failure": (_cmd_failure, ("n", "kappa", "eps", "seed", "objective")),
-    "probe-fcd": (_cmd_probe_fcd, ("n", "seed", "out")),
-    "probe-scd": (_cmd_probe_scd, ("n", "seed", "out")),
+    "probe": (_cmd_probe, ("n", "seed", "out")),
     "check-gradients": (_cmd_check_gradients, ("n", "eps", "seed")),
 }
 

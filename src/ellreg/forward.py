@@ -166,12 +166,13 @@ class RegularizedForwardOperator:
         """
         return self.solve(-(K_dA @ V))
 
-    def solve_second_sensitivity(self, K_dA1, K_dA2, dV1, dV2) -> np.ndarray:
-        """Second-order sensitivity: rhs = -K_tau(dA2) dV1 - K_tau(dA1) dV2,
-        with the direction operators K_tau(dA1), K_tau(dA2) assembled."""
-        rhs = -(K_dA2 @ dV1)
-        rhs -= K_dA1 @ dV2
-        return self.solve(rhs)
+    def solve_second_sensitivity(self, K_dA: sp.csr_matrix, dV: np.ndarray) -> np.ndarray:
+        """Second-order sensitivity along dA twice: [K_tau(A)+eps*W] d2V = -2 K_tau(dA) dV.
+
+        ``K_dA`` is the direction operator K_tau(dA), at this operator's tau,
+        and ``dV`` the first-order sensitivity along dA.
+        """
+        return self.solve(-2.0 * (K_dA @ dV))
 
     def solve_adjoint(self, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """Adjoint state: [K_tau(A)+eps*W] w = M (Z - V)."""

@@ -13,9 +13,11 @@ import numpy as np
 import scipy.sparse as sp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Conforming triangulation of the unit square.
+
+    Meshes compare and hash by identity, so a mesh can key a dict.
 
     Attributes
     ----------
@@ -30,7 +32,7 @@ class Mesh:
     areas: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
     # values derived from the mesh alone, built on first use (see ``cached``)
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         p = self.nodes[self.triangles]  # (T, 3, 2)

@@ -5,8 +5,8 @@ Projected Newton: the step direction solves the Newton system with the
 exact Hessian action through conjugate gradients with negative-curvature
 detection (OLS is not convex, so indefiniteness is handled by a diagonal
 shift rather than pretended away), and Armijo backtracking runs along the
-projection arc from the full step. MOLS CG is Jacobi-preconditioned with
-``objectives.mols_preconditioner``.
+projection arc from the full step. CG is Jacobi-preconditioned: MOLS with
+``objectives.mols_preconditioner``, OLS with the unit diagonal.
 """
 
 from __future__ import annotations
@@ -128,7 +128,8 @@ class _EntryObjective:
     def derivatives(self, state):
         """Return (gradient, Hessian action, CG preconditioner) at an evaluated state.
 
-        The preconditioner is a positive diagonal for MOLS and None for OLS.
+        The preconditioner is a positive diagonal: the Jacobi diagonal for
+        MOLS, the unit diagonal for OLS.
         """
         A, V, op, (_, reg_grad, reg_hess) = state
         pr = self.problem
@@ -145,9 +146,9 @@ class _EntryObjective:
                     Lw = op.L(w_adj)
                 return obj.ols_hessian_action(op, LV, Lw, d) + kappa * reg_hess(d)
 
-            # OLS CG runs unpreconditioned: the MOLS diagonal slows it down,
+            # OLS CG takes the unit diagonal: the MOLS diagonal slows it down,
             # and kappa*diag(W) alone does not speed it up
-            return grad, hess, None
+            return grad, hess, np.ones_like(grad)
         grad = obj.mols_gradient(LV, self.LZ, V, self.Z) + kappa * reg_grad
 
         def hess(d):
@@ -155,29 +156,31 @@ class _EntryObjective:
 
         D = obj.mols_preconditioner(pr.mesh, A, V, kappa)
         # at kappa = 0 a node where V is locally constant gets a zero entry
-        return grad, hess, D if np.all(D > 0) else None
+        return grad, hess, D if np.all(D > 0) else np.ones_like(D)
 
 
-def _cg(hess, g, tol, max_iters, diag=None):
+def _cg(hess, g, diag):
     """Jacobi-preconditioned CG on H p = -g, with negative curvature handled by a shift.
 
-    ``diag`` is a positive diagonal approximating H (None: plain CG). The
-    stopping test reads the unpreconditioned residual, |r| <= tol*|g|, so
-    the preconditioner changes the work, not the accuracy. When a direction
-    shows nonpositive curvature, CG restarts on H + shift*I. Returns the
-    direction and the number of Hessian actions spent on it.
+    ``diag`` is a positive diagonal approximating H; the unit diagonal gives
+    plain CG bit for bit, since r / 1.0 == r. The stopping test reads the
+    unpreconditioned residual, |r| <= CG_TOL*|g|, so the preconditioner
+    changes the work, not the accuracy. At most CG_MAX_ITERS Hessian actions
+    are spent per attempt. When a direction shows nonpositive curvature, CG
+    restarts on H + shift*I. Returns the direction and the number of Hessian
+    actions spent on it.
     """
     shift = 0.0
     actions = 0
     for _attempt in range(3):
         p = np.zeros_like(g)
         r = -g.copy()
-        z = r if diag is None else r / diag
+        z = r / diag
         d = z.copy()
         rz = r @ z
         rr0 = r @ r
         neg_curv = None
-        for _ in range(max_iters):
+        for _ in range(CG_MAX_ITERS):
             Hd = hess(d) + shift * d
             actions += 1
             dHd = d @ Hd
@@ -187,9 +190,9 @@ def _cg(hess, g, tol, max_iters, diag=None):
             alpha = rz / dHd
             p = p + alpha * d
             r = r - alpha * Hd
-            if r @ r <= tol * tol * rr0:
+            if r @ r <= CG_TOL * CG_TOL * rr0:
                 break
-            z = r if diag is None else r / diag
+            z = r / diag
             rz_new = r @ z
             d = z + (rz_new / rz) * d
             rz = rz_new
@@ -214,7 +217,7 @@ def _minimize_entry(fun: _EntryObjective, A0, c1, c2):
         if pg <= GRAD_TOL * max(pg0, 1e-300):
             termination = "grad_tol"
             break
-        p, row.cg_iters = _cg(hess, grad, CG_TOL, CG_MAX_ITERS, diag)
+        p, row.cg_iters = _cg(hess, grad, diag)
         if p @ grad >= 0:  # not a descent direction; fall back
             p = -grad
         # Armijo backtracking along the projection arc

@@ -110,7 +110,7 @@ class ContingentProbe:
                     V, _perturbed(self.K_dA2, self.M_dA2, entry.tau))
             # second-order expansion of u_eps along a(t) = A_bar + t*dA + t^2/2*dA2:
             # the pure second derivative in (dA, dA) plus the first derivative in dA2
-            d2V = op.solve_second_sensitivity(K1, K1, dV1, dV1) + dV_tilde
+            d2V = op.solve_second_sensitivity(K1, dV1) + dV_tilde
             self._sens.append(dV1)
             self._sens2.append(d2V)
             gap = self._energy_norm(V - self.u_bar)

@@ -22,8 +22,7 @@ def _count_mesh_builds(monkeypatch):
 
 def test_parser_has_all_subcommands():
     parser = build_parser()
-    for name in ("table1", "table2", "table3", "failure", "probe-fcd",
-                 "probe-scd", "check-gradients"):
+    for name in ("table1", "table2", "table3", "failure", "probe", "check-gradients"):
         args = parser.parse_args([name])
         assert args.command == name
 
@@ -77,8 +76,8 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     # config entries parse as the command's own flags
     cases = {
         ("table1", "bogus = 1\n"): "unrecognized arguments",
-        ("table1", "objective = bogus\n"): "invalid choice",
-        ("probe-fcd", "eps = 1e-3\n"): "unrecognized arguments",
+        ("table3", "objective = bogus\n"): "invalid choice",
+        ("probe", "eps = 1e-3\n"): "unrecognized arguments",
         ("table1", "ep = 1e-3\n"): "unrecognized arguments",  # no abbreviations
         ("table1", "n = 6\nconfig = other.cfg\n"): "cannot name another",
         ("table1", "n 6\n"): "expected key=value",
@@ -93,12 +92,11 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
 
 # the value flags each subcommand's handler reads; each also takes --config
 _READS = {
-    "table1": {"n", "kappa", "eps", "seed", "objective", "out"},
+    "table1": {"n", "kappa", "eps", "seed", "out"},
     "table2": {"n", "kappa", "eps", "seed", "out"},
     "table3": {"n", "kappa", "eps", "delta", "seed", "objective", "out"},
     "failure": {"n", "kappa", "eps", "seed", "objective"},
-    "probe-fcd": {"n", "seed", "out"},
-    "probe-scd": {"n", "seed", "out"},
+    "probe": {"n", "seed", "out"},
     "check-gradients": {"n", "eps", "seed"},
 }
 _VALUES = {"n": "6", "kappa": "0.5", "eps": "0.25", "delta": "0.125", "seed": "3",
@@ -119,24 +117,35 @@ def test_each_command_accepts_only_the_flags_it_reads(capsys):
 
 
 def test_help_exits_0(capsys):
-    assert main(["table1", "--help"]) == 0
+    assert main(["table3", "--help"]) == 0
     assert "--objective" in capsys.readouterr().out
 
 
-def test_probe_fcd_writes_csv(tmp_path, monkeypatch):
+def test_probe_fcd_writes_csv(tmp_path, monkeypatch, capsys):
     builds = _count_mesh_builds(monkeypatch)
-    rc = main(["probe-fcd", "--n", "6", "--out", str(tmp_path)])
+    rc = main(["probe", "--n", "6", "--out", str(tmp_path)])
     assert rc == 0
     assert builds == [6]  # the probe runs on the manufactured problem's mesh
-    lines = (tmp_path / "probe_fcd.csv").read_text().splitlines()
+    lines = (tmp_path / "probe.csv").read_text().splitlines()
     assert lines[0].split(",")[:4] == ["n", "eps", "tau", "residual_fcd"]
     assert len(lines) == 9  # header + default 8 schedule entries
+    assert capsys.readouterr().out.count("residual_fcd=") == 8
 
 
-def test_probe_scd_writes_csv(tmp_path):
-    rc = main(["probe-scd", "--n", "6", "--out", str(tmp_path)])
+def test_probe_scd_writes_csv(tmp_path, capsys):
+    rc = main(["probe", "--n", "6", "--out", str(tmp_path)])
     assert rc == 0
-    assert (tmp_path / "probe_scd.csv").exists()
+    lines = (tmp_path / "probe.csv").read_text().splitlines()
+    assert lines[0].split(",")[4] == "residual_scd"
+    assert all(float(line.split(",")[4]) >= 0.0 for line in lines[1:])
+    assert capsys.readouterr().out.count("residual_scd=") == 8
+
+
+def test_removed_commands_exit_1(tmp_path, capsys):
+    # the probe writes both residuals, and table2 is the MOLS table
+    for argv in (["probe-fcd"], ["probe-scd"], ["table1", "--objective", "mols"]):
+        assert main([*argv, "--n", "4", "--out", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 def test_check_gradients_passes(capsys, monkeypatch):

@@ -107,3 +107,9 @@ def test_degenerate_triangle_rejected():
     with pytest.raises(ValueError):
         Mesh(nodes=nodes, triangles=tris)
 
+
+def test_mesh_compares_and_hashes_by_identity():
+    m = build_unit_square(2)
+    assert m == m
+    assert m != build_unit_square(2)
+    assert {m: 0}[m] == 0

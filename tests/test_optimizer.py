@@ -5,7 +5,7 @@ from jittered import examples
 
 from ellreg import assembly, objectives as obj, optimizer, oracles
 from ellreg.experiments import ExperimentConfig, ManufacturedProblem, run_cell
-from ellreg.forward import ScheduleEntry, default_schedule
+from ellreg.forward import ScheduleEntry, SingularSystemError, default_schedule
 from ellreg.optimizer import IdentificationProblem, minimize, project_box
 
 
@@ -164,15 +164,13 @@ def test_cg_preconditioned_direction_matches_plain():
     H = (Q * np.geomspace(1.0, 100.0, 20)) @ Q.T
     g = rng.standard_normal(20)
     diag = rng.uniform(0.5, 50.0, size=20)
-    p_plain, _ = optimizer._cg(lambda d: H @ d, g, optimizer.CG_TOL, optimizer.CG_MAX_ITERS)
-    p_jacobi, _ = optimizer._cg(lambda d: H @ d, g, optimizer.CG_TOL, optimizer.CG_MAX_ITERS,
-                                diag)
+    p_plain, _ = optimizer._cg(lambda d: H @ d, g, np.ones(20))
+    p_jacobi, _ = optimizer._cg(lambda d: H @ d, g, diag)
     assert np.linalg.norm(p_jacobi - p_plain) <= 1e-6 * np.linalg.norm(p_plain)
     assert np.linalg.norm(H @ p_plain + g) <= 1e-6 * np.linalg.norm(g)
     # negative curvature: CG restarts on a shifted H and still descends
-    for d in (None, diag):
-        p, actions = optimizer._cg(lambda v: -v, g, optimizer.CG_TOL,
-                                   optimizer.CG_MAX_ITERS, d)
+    for d in (np.ones(20), diag):
+        p, actions = optimizer._cg(lambda v: -v, g, d)
         assert p @ g < 0
         assert actions >= 2
 
@@ -215,7 +213,7 @@ def test_cg_returns_truncated_direction_after_three_shifts(monkeypatch):
         restarts.append(np.array_equal(d, -g))  # each attempt starts from d = -g
         return lam * d
 
-    p, actions = optimizer._cg(hess, g, optimizer.CG_TOL, optimizer.CG_MAX_ITERS)
+    p, actions = optimizer._cg(hess, g, np.ones(5))
     assert sum(restarts) == 3 and actions == len(restarts) == 6
     # one CG step along -g before the negative curvature: a scaled steepest
     # descent direction, which no shifted system with this g is solved by
@@ -229,7 +227,7 @@ def test_cg_returns_truncated_direction_after_three_shifts(monkeypatch):
             return g @ A + 0.5 * A @ (lam * A), (A, None, None, None)
 
         def derivatives(self, state):
-            return g + lam * state[0], lambda d: lam * d, None
+            return g + lam * state[0], lambda d: lam * d, np.ones(5)
 
     A0 = np.zeros(5)
     monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
@@ -255,10 +253,55 @@ def test_cg_shift_adds_curvature_of_shifted_operator():
         restarts.append(np.array_equal(d, -g))
         return lam * d
 
-    p, actions = optimizer._cg(hess, g, optimizer.CG_TOL, optimizer.CG_MAX_ITERS)
+    p, actions = optimizer._cg(hess, g, np.ones(2))
     assert sum(restarts) == 3 and actions == len(restarts)
     # p solves (H + shift*I) p = -g for one shift above -min(lam)
     shift = -g / p - lam
     assert shift[0] == pytest.approx(shift[1], rel=1e-6)
     assert 1e-6 < shift[0] < 1.01e-6
     assert p @ g < 0
+
+
+class _Quadratic:
+    """g.A + A.diag(lam).A / 2 with the state tuple _minimize_entry unpacks;
+    evaluating a point with max|A| above ``singular_above`` raises."""
+
+    def __init__(self, g, lam, singular_above=np.inf):
+        self.g, self.lam, self.singular_above = g, lam, singular_above
+        self.evaluated = []
+
+    def evaluate(self, A):
+        self.evaluated.append(A.copy())
+        if np.max(np.abs(A)) > self.singular_above:
+            raise SingularSystemError("singular trial", np.inf)
+        return self.g @ A + 0.5 * A @ (self.lam * A), (A, None, None, None)
+
+    def derivatives(self, state):
+        return self.g + self.lam * state[0], lambda d: self.lam * d, np.ones_like(self.g)
+
+
+def test_ascent_direction_falls_back_to_steepest_descent(monkeypatch):
+    g = np.ones(5)
+    fun = _Quadratic(g, np.arange(1.0, 6.0))
+    monkeypatch.setattr(optimizer, "_cg", lambda hess, grad, diag: (grad.copy(), 1))
+    monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
+    A, _, _, log, termination = optimizer._minimize_entry(fun, np.zeros(5), -10.0, 10.0)
+    # +grad is an ascent direction, so the step runs along -grad: the full
+    # step -g overshoots (value 2.5 > 0) and the half step is accepted
+    assert [list(a) for a in fun.evaluated] == [[0.0] * 5, [-1.0] * 5, [-0.5] * 5]
+    assert np.array_equal(A, -0.5 * g)
+    assert log[0].trials == 2
+    assert termination == "max_iters"
+
+
+def test_singular_trial_is_rejected_and_step_backtracks(monkeypatch):
+    g = np.ones(5)
+    fun = _Quadratic(g, np.ones(5), singular_above=0.75)
+    monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
+    A, _, _, log, termination = optimizer._minimize_entry(fun, np.zeros(5), -10.0, 10.0)
+    # the Newton step -g lands on a singular system: that trial counts as
+    # rejected, t halves and the shorter step -g/2 is accepted
+    assert [list(a) for a in fun.evaluated] == [[0.0] * 5, [-1.0] * 5, [-0.5] * 5]
+    assert np.array_equal(A, -0.5 * g)
+    assert log[0].trials == 2
+    assert termination == "max_iters"
