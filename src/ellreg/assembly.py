@@ -25,6 +25,14 @@ _D = np.eye(3)
 _C3 = 1.0 + _D[:, :, None] + _D[:, None, :] + _D + 2.0 * (_D[:, :, None] * _D)
 
 
+def _nodal(mesh: Mesh, v) -> np.ndarray:
+    """``v`` as a float vector with one entry per node of ``mesh``; ValueError otherwise."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (mesh.node_count,):
+        raise ValueError(f"nodal vector of shape {v.shape} does not match the mesh")
+    return v
+
+
 def _grad_products(mesh: Mesh) -> np.ndarray:
     """(T, 3, 3) products grad(phi_i).grad(phi_j) of each triangle's basis functions."""
     return np.einsum("tid,tjd->tij", mesh.grads, mesh.grads)
@@ -32,10 +40,7 @@ def _grad_products(mesh: Mesh) -> np.ndarray:
 
 def assemble_stiffness(mesh: Mesh, A: np.ndarray) -> sp.csr_matrix:
     """K(A) with K(A)_ij = int a grad(phi_i).grad(phi_j), a the P1 interpolant of A."""
-    A = np.asarray(A, dtype=float)
-    if A.shape != (mesh.node_count,):
-        raise ValueError("coefficient vector does not match the mesh")
-    mean_a = A[mesh.triangles].mean(axis=1)
+    mean_a = _nodal(mesh, A)[mesh.triangles].mean(axis=1)
     gg = mesh.cached("grad_products", _grad_products)
     elem = (mesh.areas * mean_a)[:, None, None] * gg
     # rewrite each element diagonal as the negative off-diagonal sum so the
@@ -54,22 +59,22 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
 
 def assemble_weighted_mass(mesh: Mesh, A: np.ndarray) -> sp.csr_matrix:
     """a-weighted mass matrix, (M_A)_ij = int a phi_i phi_j with a P1."""
-    A = np.asarray(A, dtype=float)
-    if A.shape != (mesh.node_count,):
-        raise ValueError("coefficient vector does not match the mesh")
-    At = A[mesh.triangles]
+    At = _nodal(mesh, A)[mesh.triangles]
     elem = np.einsum("kij,tk->tij", _C3, At) * (mesh.areas / 60.0)[:, None, None]
     return mesh.scatter_csr(elem)
 
 
 def assemble_perturbed_stiffness(mesh: Mesh, A: np.ndarray, tau: float) -> sp.csr_matrix:
     """K_tau(A) = K(A) + tau * (a-weighted mass)."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not 0.0 <= tau < np.inf:
+        raise ValueError("tau must be finite and nonnegative")
     K = assemble_stiffness(mesh, A)
-    if tau == 0.0:
-        return K
-    return (K + tau * assemble_weighted_mass(mesh, A)).tocsr()
+    return perturb(K, assemble_weighted_mass(mesh, A) if tau != 0.0 else None, tau)
+
+
+def perturb(K: sp.csr_matrix, M_a: sp.csr_matrix, tau: float) -> sp.csr_matrix:
+    """K_tau(a) = K(a) + tau*M_a, ``K`` itself at tau = 0: the one place the sum is formed."""
+    return K if tau == 0.0 else (K + tau * M_a).tocsr()
 
 
 def assemble_s_matrix(mesh: Mesh) -> sp.csr_matrix:
@@ -116,10 +121,7 @@ def assemble_L(mesh: Mesh, V: np.ndarray, tau: float = 0.0) -> sp.csr_matrix:
     The stiffness part is written with the differences V_j - V_i, as the
     element stiffness rows are, so L(constant) is exactly zero at tau = 0.
     """
-    V = np.asarray(V, dtype=float)
-    if V.shape != (mesh.node_count,):
-        raise ValueError("dimension mismatch")
-    Vt = V[mesh.triangles]
+    Vt = _nodal(mesh, V)[mesh.triangles]
     gg = mesh.cached("grad_products", _grad_products)
     # (K_e V)_i per unit coefficient and area
     kv = np.empty_like(Vt)
@@ -135,10 +137,7 @@ def assemble_L(mesh: Mesh, V: np.ndarray, tau: float = 0.0) -> sp.csr_matrix:
 
 def apply_L(mesh: Mesh, V: np.ndarray, A: np.ndarray, tau: float = 0.0) -> np.ndarray:
     """K_tau(A) V, computed as L(V) @ A."""
-    A = np.asarray(A, dtype=float)
-    if A.shape != (mesh.node_count,):
-        raise ValueError("dimension mismatch")
-    return assemble_L(mesh, V, tau) @ A
+    return assemble_L(mesh, V, tau) @ _nodal(mesh, A)
 
 
 def apply_Lt(mesh: Mesh, V: np.ndarray, U: np.ndarray, tau: float = 0.0) -> np.ndarray:
@@ -146,8 +145,5 @@ def apply_Lt(mesh: Mesh, V: np.ndarray, U: np.ndarray, tau: float = 0.0) -> np.n
 
     It is symmetric in (V, U).
     """
-    U = np.asarray(U, dtype=float)
-    if U.shape != (mesh.node_count,):
-        raise ValueError("dimension mismatch")
-    return assemble_L(mesh, V, tau).T @ U
+    return assemble_L(mesh, V, tau).T @ _nodal(mesh, U)
 

@@ -58,7 +58,7 @@ def build_parser():
     return ap
 
 
-def _run_table(args, out_name, label_name="h", **fields):
+def _run_table(args, out_name, **fields):
     """Table from the flags and ``fields``; ``--n`` wins over ``fields``' mesh sizes."""
     cfg = exp.ExperimentConfig(kappa=args.kappa, eps=args.eps, seed=args.seed, **fields)
     if args.n is not None:
@@ -67,9 +67,9 @@ def _run_table(args, out_name, label_name="h", **fields):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / out_name
-    exp.write_table_csv(rows, path, cfg, label_name=label_name)
+    exp.write_table_csv(rows, path, cfg)
     for r in rows:
-        print(f"{label_name}={r.label}  rel_l2_a={r.rel_l2_a:.2e}  "
+        print(f"{cfg.label_column}={r.label}  rel_l2_a={r.rel_l2_a:.2e}  "
               f"rel_l2_u={r.rel_l2_u:.2e}  iters={r.iterations}  "
               f"wall={r.wall_time:.2f}s")
     print(f"wrote {path}")
@@ -86,8 +86,8 @@ def _cmd_table2(args):
 
 def _cmd_table3(args):
     deltas = (1e-1, 1e-2, 1e-3) if args.delta is None else (args.delta,)
-    return _run_table(args, "table3.csv", label_name="delta",
-                      objective=args.objective, deltas=deltas, mesh_sizes=(80,))
+    return _run_table(args, "table3.csv", objective=args.objective, deltas=deltas,
+                      mesh_sizes=(80,))
 
 
 def _cmd_failure(args):
@@ -168,8 +168,6 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command][0](args)
     except SystemExit as stop:  # only argparse exits: 0 after --help, 2 on a usage error
         return 1 if stop.code else 0
-    except BrokenPipeError:
-        return 1
     except Exception as err:  # any unexpected error maps to exit code 1
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -64,13 +65,18 @@ class ExperimentConfig:
     eps: float = 1e-4
     deltas: tuple = ()  # nonempty selects the noise-sweep table at mesh_sizes[-1]
     seed: int = 0
-    c1: float = 0.1
-    c2: float = 10.0
+    c1: ClassVar[float] = IdentificationProblem.c1  # the box of admissible coefficients
+    c2: ClassVar[float] = IdentificationProblem.c2
+
+    @property
+    def label_column(self) -> str:
+        """Name of the table's first column: ``delta`` for a noise sweep, else ``h``."""
+        return "delta" if self.deltas else "h"
 
 
 @dataclass
 class TableRow:
-    label: str  # h or delta, preformatted
+    label: str  # the h or delta of the row, preformatted
     rel_l2_a: float
     rel_l2_u: float
     rel_linf_a: float
@@ -104,7 +110,6 @@ def run_cell(config: ExperimentConfig, n: int, delta: float = 0.0):
         mesh=mesh,
         P_exact=prob_data.P,
         Z_exact=prob_data.Z,
-        c1=config.c1, c2=config.c2,
         seed=config.seed,
     )
     A0 = np.full(mesh.node_count, 0.5 * (config.c1 + config.c2))
@@ -139,27 +144,31 @@ def run_table(config: ExperimentConfig) -> list[TableRow]:
     return rows
 
 
-def write_table_csv(rows: list[TableRow], path, config: ExperimentConfig,
-                    label_name: str = "h") -> None:
-    """Main CSV (3 significant digits, deterministic) plus a full-precision sidecar."""
+# TableRow fields after the label, with their 3-digit format (None: full file only)
+_CSV_COLUMNS = (("rel_l2_a", ".2e"), ("rel_l2_u", ".2e"), ("rel_linf_a", ".2e"),
+                ("rel_linf_u", ".2e"), ("rel_l2_u_interp", None), ("iterations", "d"))
+
+
+def write_table_csv(rows: list[TableRow], path, config: ExperimentConfig) -> None:
+    """Main CSV (3 significant digits, deterministic) plus a full-precision sidecar.
+
+    Columns: ``config.label_column``, then ``_CSV_COLUMNS``. The sidecar,
+    ``path`` + ".full.csv", writes each as repr; the main file, those with a format.
+    """
     header = (f"# objective={config.objective} kappa={config.kappa:g} "
               f"eps={config.eps:g} seed={config.seed} tau=0 nu=0\n")
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        fh.write(f"{label_name},rel_l2_a,rel_l2_u,rel_linf_a,rel_linf_u,iterations\n")
-        for r in rows:
-            fh.write(f"{r.label},{r.rel_l2_a:.2e},{r.rel_l2_u:.2e},"
-                     f"{r.rel_linf_a:.2e},{r.rel_linf_u:.2e},{r.iterations}\n")
-    with open(str(path) + ".full.csv", "w", newline="") as fh:
-        fh.write(header)
-        fh.write(f"{label_name},rel_l2_a,rel_l2_u,rel_linf_a,rel_linf_u,"
-                 "rel_l2_u_interp,iterations\n")
-        for r in rows:
-            fh.write(f"{r.label},{r.rel_l2_a!r},{r.rel_l2_u!r},{r.rel_linf_a!r},"
-                     f"{r.rel_linf_u!r},{r.rel_l2_u_interp!r},{r.iterations}\n")
+    for out, full in ((path, False), (f"{path}.full.csv", True)):
+        columns = [(name, spec) for name, spec in _CSV_COLUMNS if full or spec]
+        with open(out, "w", newline="") as fh:
+            fh.write(header)
+            fh.write(",".join([config.label_column] + [name for name, _ in columns]) + "\n")
+            for r in rows:
+                cells = [repr(getattr(r, name)) if full else format(getattr(r, name), spec)
+                         for name, spec in columns]
+                fh.write(",".join([r.label, *cells]) + "\n")
 
 
-def run_failure_demo(config: ExperimentConfig, n: int = 60) -> dict:
+def run_failure_demo(config: ExperimentConfig, n: int) -> dict:
     """Attempt a reconstruction at the configured eps; eps = 0 must fail structurally."""
     try:
         result, errs, wall = run_cell(config, n)

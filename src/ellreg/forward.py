@@ -9,7 +9,7 @@ returning garbage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -62,8 +62,8 @@ class ScheduleEntry:
     kappa: float
 
     def __post_init__(self):
-        if min(self.eps, self.tau, self.nu, self.delta, self.kappa) < 0:
-            raise ValueError("schedule entries need eps, tau, nu, delta, kappa >= 0")
+        if not all(0.0 <= v < np.inf for v in astuple(self)):  # False for NaN too
+            raise ValueError("schedule entries need finite eps, tau, nu, delta, kappa >= 0")
 
 
 def default_schedule(n_entries: int = 8, eps0: float = 1e-1) -> tuple:
@@ -87,10 +87,8 @@ class RegularizedForwardOperator:
 
     def __init__(self, mesh: Mesh, A: np.ndarray, eps: float, tau: float = 0.0,
                  K_tau: sp.csr_matrix = None):
-        if eps < 0:
-            raise ValueError("eps must be nonnegative")
-        if tau < 0:
-            raise ValueError("tau must be nonnegative")
+        if not (0.0 <= eps < np.inf and 0.0 <= tau < np.inf):
+            raise ValueError("eps and tau must be finite and nonnegative")
         self.mesh = mesh
         self.eps = float(eps)
         self.tau = float(tau)

@@ -34,7 +34,6 @@ MAX_ITERS = 500  # Newton steps per schedule entry
 class EntryLogRow:
     """One iterate of an entry and the step taken from it (none from the last)."""
 
-    iteration: int
     objective: float
     pg_norm: float
     cg_iters: int = 0  # Hessian actions spent on the step direction
@@ -210,9 +209,9 @@ def _minimize_entry(fun: _EntryObjective, A0, c1, c2):
     grad, hess, diag = fun.derivatives(state)
     pg0 = np.linalg.norm(project_box(A - grad, c1, c2) - A)
     termination = "max_iters"
-    for it in range(MAX_ITERS):
+    for _ in range(MAX_ITERS):
         pg = np.linalg.norm(project_box(A - grad, c1, c2) - A)
-        row = EntryLogRow(it, value, pg)
+        row = EntryLogRow(value, pg)
         log.append(row)
         if pg <= GRAD_TOL * max(pg0, 1e-300):
             termination = "grad_tol"
@@ -264,7 +263,7 @@ def minimize(problem: IdentificationProblem, schedule: tuple, objective: str,
     if len(schedule) == 0:
         raise ValueError("schedule must be nonempty")
     result = ReconstructionResult(success=True)
-    A = project_box(np.asarray(A0, dtype=float), problem.c1, problem.c2)
+    A = project_box(A0, problem.c1, problem.c2)
     for entry in schedule:
         fun = _EntryObjective(problem, entry, objective)
         try:

@@ -18,6 +18,9 @@ from .forward import RegularizedForwardOperator
 from .mesh import Mesh
 from .objectives import regularizer_eval
 
+VI_RANDOM_POINTS = 32  # random interior points a VI residual samples besides the box faces
+VI_SEED = 0  # their Philox key
+
 
 def ols_gradient_direct(op: RegularizedForwardOperator, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Sensitivity route: g_k = (V-Z)^T M dV_k, dV_k = -[K_tau(A)+eps*W]^-1 L(V) e_k.
@@ -62,8 +65,7 @@ def mols_hessian_dense(op: RegularizedForwardOperator, V: np.ndarray) -> np.ndar
 
 
 def mols_optimality_residual(op: RegularizedForwardOperator, V: np.ndarray, Z: np.ndarray,
-                             A: np.ndarray, kappa: float, c1: float, c2: float,
-                             n_random: int = 32, seed: int = 0) -> float:
+                             A: np.ndarray, kappa: float, c1: float, c2: float) -> float:
     """Worst sampled violation of the MOLS variational-inequality condition.
 
     Evaluates -1/2 T_tau(a - A, V+Z, V-Z) - kappa*(R(A) - R(a)) over box-face
@@ -73,27 +75,26 @@ def mols_optimality_residual(op: RegularizedForwardOperator, V: np.ndarray, Z: n
     V = np.asarray(V, dtype=float)
     Z = np.asarray(Z, dtype=float)
     g = -0.5 * assembly.apply_Lt(op.mesh, V + Z, V - Z, op.tau)
-    return _vi_residual(op.mesh, g, A, kappa, c1, c2, n_random, seed)
+    return _vi_residual(op.mesh, g, A, kappa, c1, c2)
 
 
 def ols_optimality_residual(op: RegularizedForwardOperator, V: np.ndarray, P_adj: np.ndarray,
-                            A: np.ndarray, kappa: float, c1: float, c2: float,
-                            n_random: int = 32, seed: int = 0) -> float:
+                            A: np.ndarray, kappa: float, c1: float, c2: float) -> float:
     """Worst sampled violation of T_tau(a - A, V, p) >= kappa*(R(A) - R(a))."""
-    g = assembly.apply_Lt(op.mesh, np.asarray(V, dtype=float), np.asarray(P_adj, dtype=float), op.tau)
-    return _vi_residual(op.mesh, g, A, kappa, c1, c2, n_random, seed)
+    g = assembly.apply_Lt(op.mesh, V, P_adj, op.tau)
+    return _vi_residual(op.mesh, g, A, kappa, c1, c2)
 
 
 def _vi_residual(mesh: Mesh, g: np.ndarray, A: np.ndarray, kappa: float, c1: float,
-                 c2: float, n_random: int, seed: int) -> float:
+                 c2: float) -> float:
     """min over sampled a of (a - A) . g - kappa*(R(A) - R(a)), g the misfit gradient."""
     A = np.asarray(A, dtype=float)
     RA = regularizer_eval(mesh, A)[0]
     return min(float((a - A) @ g) - kappa * (RA - regularizer_eval(mesh, a)[0])
-               for a in _vi_samples(A, c1, c2, n_random, seed))
+               for a in _vi_samples(A, c1, c2))
 
 
-def _vi_samples(A: np.ndarray, c1: float, c2: float, n_random: int, seed: int):
+def _vi_samples(A: np.ndarray, c1: float, c2: float):
     """Box-face points (one coordinate moved to each bound) plus random interior points."""
     m = len(A)
     for i in range(m):
@@ -101,6 +102,6 @@ def _vi_samples(A: np.ndarray, c1: float, c2: float, n_random: int, seed: int):
             a = A.copy()
             a[i] = bound
             yield a
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    for _ in range(n_random):
+    rng = np.random.Generator(np.random.Philox(key=VI_SEED))
+    for _ in range(VI_RANDOM_POINTS):
         yield rng.uniform(c1, c2, size=m)

@@ -11,10 +11,9 @@ unregularized operator annihilates constants.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import assembly
 from .forward import (
@@ -37,11 +36,6 @@ class ProbeRecord:
     state_gap: float
 
 
-def _perturbed(K: sp.csr_matrix, M_a: sp.csr_matrix, tau: float) -> sp.csr_matrix:
-    """K_tau(a) = K(a) + tau*M_a, summed as assembly.assemble_perturbed_stiffness does."""
-    return K if tau == 0.0 else (K + tau * M_a).tocsr()
-
-
 @dataclass
 class ContingentProbe:
     """Drives the regularized map to its limit at a fixed base point.
@@ -51,7 +45,7 @@ class ContingentProbe:
     plain solve, otherwise the mean-zero representative from the saddle-point
     oracle. A_bar, dA and dA2 are fixed per probe, so their stiffness and
     a-weighted mass matrices are assembled once; each schedule entry forms
-    K_tau = K + tau*M_a from them with sparse adds.
+    K_tau = K + tau*M_a from them with ``assembly.perturb``.
     """
 
     mesh: Mesh
@@ -65,11 +59,8 @@ class ContingentProbe:
 
     def __post_init__(self):
         mesh = self.mesh
-        self.A_bar = np.asarray(self.A_bar, dtype=float)
-        self.dA = np.asarray(self.dA, dtype=float)
         if self.dA2 is None:
             self.dA2 = self.dA
-        self.dA2 = np.asarray(self.dA2, dtype=float)
         self.W = assembly.shared_s_matrix(mesh)
         self.K_A = assembly.assemble_stiffness(mesh, self.A_bar)
         self.M_A = assembly.assemble_weighted_mass(mesh, self.A_bar)
@@ -98,16 +89,16 @@ class ContingentProbe:
         for n, entry in enumerate(self.schedule):
             op = RegularizedForwardOperator(
                 self.mesh, self.A_bar, eps=entry.eps + shift, tau=entry.tau,
-                K_tau=_perturbed(self.K_A, self.M_A, entry.tau),
+                K_tau=assembly.perturb(self.K_A, self.M_A, entry.tau),
             )
-            K1 = _perturbed(self.K_dA, self.M_dA, entry.tau)
+            K1 = assembly.perturb(self.K_dA, self.M_dA, entry.tau)
             V = op.solve_state(self.P)
             dV1 = op.solve_sensitivity(V, K1)
             if self.dA2 is self.dA:
                 dV_tilde = dV1
             else:
                 dV_tilde = op.solve_sensitivity(
-                    V, _perturbed(self.K_dA2, self.M_dA2, entry.tau))
+                    V, assembly.perturb(self.K_dA2, self.M_dA2, entry.tau))
             # second-order expansion of u_eps along a(t) = A_bar + t*dA + t^2/2*dA2:
             # the pure second derivative in (dA, dA) plus the first derivative in dA2
             d2V = op.solve_second_sensitivity(K1, dV1) + dV_tilde
@@ -155,10 +146,8 @@ class ContingentProbe:
         return {"sup_sens_norm": sup, "state_gap_rate": slope, "flagged": flagged}
 
     def write_csv(self, path) -> None:
+        """A column per ``ProbeRecord`` field; floats as str(x) == repr(x), so they round-trip."""
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["n", "eps", "tau", "residual_fcd", "residual_scd",
-                        "sens_norm", "state_gap"])
-            for r in self.records:
-                w.writerow([r.n, repr(r.eps), repr(r.tau), repr(r.residual_fcd),
-                            repr(r.residual_scd), repr(r.sens_norm), repr(r.state_gap)])
+            w.writerow(f.name for f in fields(ProbeRecord))
+            w.writerows(astuple(r) for r in self.records)

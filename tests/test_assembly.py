@@ -133,8 +133,9 @@ def test_perturbed_stiffness_adds_weighted_mass():
     K = assembly.assemble_stiffness(mesh, A).toarray()
     MA = assembly.assemble_weighted_mass(mesh, A).toarray()
     assert np.allclose(Kt, K + tau * MA, atol=1e-14)
-    with pytest.raises(ValueError):
-        assembly.assemble_perturbed_stiffness(mesh, A, -1e-3)
+    for bad in (-1e-3, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            assembly.assemble_perturbed_stiffness(mesh, A, bad)
 
 
 def test_s_matrix_is_h1_inner_product():
@@ -187,15 +188,15 @@ def test_load_compatibility_decreases():
 
 def test_dimension_mismatch_rejected():
     mesh = build_unit_square(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match the mesh"):
         assembly.assemble_stiffness(mesh, np.ones(5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match the mesh"):
         assembly.apply_L(mesh, np.ones(mesh.node_count), np.ones(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match the mesh"):
         assembly.assemble_weighted_mass(mesh, np.ones(5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match the mesh"):
         assembly.assemble_L(mesh, np.ones(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match the mesh"):
         assembly.apply_Lt(mesh, np.ones(mesh.node_count), np.ones(3))
 
 

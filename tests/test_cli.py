@@ -60,6 +60,16 @@ def test_unexpected_error_exit_code(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_values_exit_1(tmp_path, capsys):
+    # a NaN or infinite value is a usage error, not the singular-system demo
+    out = ["--out", str(tmp_path)]
+    for argv in (["table1", "--eps", "nan", *out], ["table1", "--kappa", "nan", *out],
+                 ["table1", "--kappa", "inf", *out], ["table3", "--delta", "nan", *out],
+                 ["failure", "--eps", "nan"], ["check-gradients", "--eps", "inf"]):
+        assert main([*argv, "--n", "4"]) == 1
+        assert "finite" in capsys.readouterr().err
+
+
 def test_config_file_overrides_flags(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\nn = 6\neps = 1e-3\n")

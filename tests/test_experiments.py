@@ -67,11 +67,18 @@ def test_run_table_mesh_refinement(tmp_path):
     assert float(full[2].split(",")[1]) == rows[0].rel_l2_a
 
 
-def test_run_table_noise_sweep():
+def test_run_table_noise_sweep(tmp_path):
     cfg = exp.ExperimentConfig(mesh_sizes=(10,), deltas=(1e-1, 1e-2))
     rows = exp.run_table(cfg)
     assert [r.label for r in rows] == ["1e-01", "1e-02"]
     assert rows[0].rel_l2_u > rows[1].rel_l2_u
+    # a noise sweep's first column is named after its deltas
+    path = tmp_path / "t.csv"
+    exp.write_table_csv(rows, path, cfg)
+    for p in (path, tmp_path / "t.csv.full.csv"):
+        lines = p.read_text().splitlines()
+        assert lines[1].startswith("delta,rel_l2_a,")
+        assert lines[2].startswith("1e-01,")
 
 
 def test_run_table_raises_on_singular_cell():
@@ -100,3 +107,16 @@ def test_failure_demo_statuses(monkeypatch):
     assert rep1["condition_estimate"] < 1e9
     assert builds == [12, 12]
 
+
+
+def test_failure_demo_reference_solve_failure(monkeypatch):
+    # the reconstruction succeeds, then the reference solve at the true
+    # coefficient is singular: the demo reports it with its condition estimate
+    def singular(*args, **kwargs):
+        raise SingularSystemError("reference system is singular", 3.5e17)
+
+    monkeypatch.setattr(exp, "RegularizedForwardOperator", singular)
+    rep = exp.run_failure_demo(exp.ExperimentConfig(eps=1e-4), n=6)
+    assert rep["status"] == "failed"
+    assert rep["reason"] == "reference system is singular"
+    assert rep["condition_estimate"] == 3.5e17

@@ -120,10 +120,10 @@ def test_every_factorization_uses_one_recipe(monkeypatch):
 
 def test_negative_eps_tau_rejected(prob):
     A = np.ones(prob.mesh.node_count)
-    with pytest.raises(ValueError):
-        RegularizedForwardOperator(prob.mesh, A, eps=-1e-3)
-    with pytest.raises(ValueError):
-        RegularizedForwardOperator(prob.mesh, A, eps=1e-3, tau=-1.0)
+    for eps, tau in ((-1e-3, 0.0), (1e-3, -1.0), (np.nan, 0.0), (np.inf, 0.0),
+                     (1e-3, np.nan), (1e-3, np.inf)):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            RegularizedForwardOperator(prob.mesh, A, eps=eps, tau=tau)
 
 
 def test_sensitivity_finite_difference(prob):
@@ -225,9 +225,11 @@ def test_schedule_default_ratios():
 
 
 def test_schedule_validation():
-    # a negative eps, data-noise level delta, functional-noise level nu or
-    # regularization weight kappa
-    for bad in (dict(eps=-1e-3), dict(delta=-0.1), dict(nu=-1e-9), dict(kappa=-1e-3)):
+    # a negative or non-finite eps, data-noise level delta, functional-noise
+    # level nu, regularization weight kappa or perturbation tau
+    for bad in (dict(eps=-1e-3), dict(delta=-0.1), dict(nu=-1e-9), dict(kappa=-1e-3),
+                dict(eps=np.nan), dict(kappa=np.nan), dict(kappa=np.inf),
+                dict(delta=np.nan), dict(tau=np.inf), dict(nu=np.nan)):
         with pytest.raises(ValueError, match="kappa >= 0"):
             ScheduleEntry(**{**dict(eps=1e-3, tau=0, nu=0, delta=0, kappa=0), **bad})
     bad = (
