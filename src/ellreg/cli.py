@@ -96,8 +96,7 @@ def _cmd_failure(args):
                                eps=args.eps, seed=args.seed)
     report = exp.run_failure_demo(cfg, n=n)
     print(f"status: {report['status']}")
-    if report.get("condition_estimate") is not None:
-        print(f"condition estimate: {report['condition_estimate']:.3e}")
+    print(f"condition estimate: {report['condition_estimate']:.3e}")
     if report["status"] == "failed":
         print(f"reason: {report['reason']}")
         return 2
@@ -137,7 +136,7 @@ def _cmd_check_gradients(args):
     for trial in range(5):
         A = rng.uniform(0.5, 2.0, size=prob.mesh.node_count)
         op = RegularizedForwardOperator(prob.mesh, A, eps=args.eps)
-        V = op.solve_state(prob.P)
+        V = op.solve(prob.P)
         g_dir = oracles.ols_gradient_direct(op, V, prob.Z)
         w = op.solve_adjoint(V, prob.Z)
         g_adj = obj.ols_gradient_adjoint(op.L(V), w)

@@ -132,6 +132,7 @@ class RegularizedForwardOperator:
         return bool(umax > 0 and udiag.min() / umax < 1e-12)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve [K_tau(A) + eps*W] x = rhs, e.g. the state V for the load P."""
         x = self._lu.solve(rhs)
         # backward-stability scale: |b| alone misjudges solves whose solution
         # is amplified by the 1/eps constant mode
@@ -148,10 +149,6 @@ class RegularizedForwardOperator:
                 self.condition_estimate,
             )
         return x
-
-    def solve_state(self, P: np.ndarray) -> np.ndarray:
-        """Solve [K_tau(A) + eps*W] V = P."""
-        return self.solve(np.asarray(P, dtype=float))
 
     def L(self, V: np.ndarray) -> sp.csr_matrix:
         """The tensor L(V) at this operator's tau: L(V) @ dA = K_tau(dA) @ V."""

@@ -25,8 +25,8 @@ def generator(seed: int, stream: int) -> np.random.Generator:
 
 def perturb_data(Z: np.ndarray, seed: int, delta: float) -> np.ndarray:
     """Z + delta * eta with eta ~ U[0,1] i.i.d. per node."""
-    if delta < 0.0:
-        raise ValueError("data-noise level delta must be >= 0")
+    if not 0.0 <= delta < np.inf:
+        raise ValueError("data-noise level delta must be finite and >= 0")
     Z = np.asarray(Z, dtype=float)
     if delta == 0.0:
         return Z.copy()
@@ -41,8 +41,8 @@ def perturb_functional(P: np.ndarray, mesh: Mesh, seed: int, nu: float) -> np.nd
     normalized in the W^-1 (dual) norm so the noise bound holds with
     equality.
     """
-    if nu < 0.0:
-        raise ValueError("functional-noise level nu must be >= 0")
+    if not 0.0 <= nu < np.inf:
+        raise ValueError("functional-noise level nu must be finite and >= 0")
     P = np.asarray(P, dtype=float)
     if nu == 0.0:
         return P.copy()

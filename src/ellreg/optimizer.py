@@ -44,14 +44,12 @@ class EntryLogRow:
 class ReconstructionResult:
     """Outcome of ``minimize``.
 
-    ``success`` means only that no system was singular; whether the last
-    entry converged is read from ``termination`` ("grad_tol", "max_iters",
-    "linesearch_failure", or "singular_system" when ``success`` is False).
-    On a failure ``A`` and ``V`` are None, and ``entry_logs`` and
-    ``entry_solutions`` keep the entries completed before it.
+    ``termination`` is how the last entry stopped: "grad_tol", "max_iters",
+    "linesearch_failure" or "singular_system". ``success`` is derived from
+    it, False only for "singular_system"; then ``A`` and ``V`` are None, and
+    ``entry_logs`` and ``entry_solutions`` keep the entries completed before it.
     """
 
-    success: bool
     A: Optional[np.ndarray] = None
     V: Optional[np.ndarray] = None
     termination: str = ""
@@ -60,6 +58,10 @@ class ReconstructionResult:
     near_singular: bool = False  # the final operator's near-singularity flag
     entry_logs: list = field(default_factory=list)  # one list of EntryLogRow per entry
     entry_solutions: list = field(default_factory=list)  # A* after each entry
+
+    @property
+    def success(self) -> bool:
+        return self.termination != "singular_system"
 
     @property
     def iterations(self) -> int:
@@ -118,7 +120,7 @@ class _EntryObjective:
         """Return (value, state) at A; ``state`` is what ``derivatives`` reads."""
         pr = self.problem
         op = pr.operator(A, self.entry)
-        V = op.solve_state(self.P)
+        V = op.solve(self.P)
         misfit_value = obj.ols_value if self.objective == "ols" else obj.mols_value
         reg = obj.regularizer_eval(pr.mesh, A)
         value = misfit_value(op, V, self.Z) + self.entry.kappa * reg[0]
@@ -207,13 +209,12 @@ def _minimize_entry(fun: _EntryObjective, A0, c1, c2):
     log = []
     value, state = fun.evaluate(A)
     grad, hess, diag = fun.derivatives(state)
-    pg0 = np.linalg.norm(project_box(A - grad, c1, c2) - A)
     termination = "max_iters"
     for _ in range(MAX_ITERS):
         pg = np.linalg.norm(project_box(A - grad, c1, c2) - A)
         row = EntryLogRow(value, pg)
         log.append(row)
-        if pg <= GRAD_TOL * max(pg0, 1e-300):
+        if pg <= GRAD_TOL * max(log[0].pg_norm, 1e-300):
             termination = "grad_tol"
             break
         p, row.cg_iters = _cg(hess, grad, diag)
@@ -262,20 +263,17 @@ def minimize(problem: IdentificationProblem, schedule: tuple, objective: str,
         raise ValueError(f"objective must be 'ols' or 'mols', got {objective!r}")
     if len(schedule) == 0:
         raise ValueError("schedule must be nonempty")
-    result = ReconstructionResult(success=True)
-    A = project_box(A0, problem.c1, problem.c2)
+    result = ReconstructionResult()
+    A = A0
     for entry in schedule:
         fun = _EntryObjective(problem, entry, objective)
         try:
-            A_new, V, op, log, termination = _minimize_entry(
-                fun, A, problem.c1, problem.c2)
+            A, V, op, log, termination = _minimize_entry(fun, A, problem.c1, problem.c2)
         except SingularSystemError as err:
-            result.success = False
             result.failure_reason = str(err)
             result.condition_estimate = err.condition_estimate
             result.termination = "singular_system"
             return result
-        A = A_new
         result.entry_logs.append(log)
         result.entry_solutions.append(A.copy())
         result.termination = termination

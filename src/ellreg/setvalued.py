@@ -74,16 +74,14 @@ class ContingentProbe:
         if self.coercive:
             self.K_bar = (self.K_A + self.W).tocsr()
             op0 = RegularizedForwardOperator(mesh, self.A_bar, eps=1.0, K_tau=self.K_A)
-            self.u_bar = op0.solve_state(self.P)
+            self.u_bar = op0.solve(self.P)
         else:
             self.K_bar = self.K_A
             self.u_bar = solve_neumann_mean_zero(mesh, self.K_A, self.P)
 
     def run(self) -> list:
-        """Solve state/sensitivity/second-sensitivity at every schedule entry."""
+        """Solve state and sensitivities dV, d2V per entry; its record keeps their residuals and norms."""
         self.records = []
-        self._sens = []
-        self._sens2 = []
         # the coercive surrogate K + W regularized by eps is the operator at eps + 1
         shift = float(self.coercive)
         for n, entry in enumerate(self.schedule):
@@ -92,7 +90,7 @@ class ContingentProbe:
                 K_tau=assembly.perturb(self.K_A, self.M_A, entry.tau),
             )
             K1 = assembly.perturb(self.K_dA, self.M_dA, entry.tau)
-            V = op.solve_state(self.P)
+            V = op.solve(self.P)
             dV1 = op.solve_sensitivity(V, K1)
             if self.dA2 is self.dA:
                 dV_tilde = dV1
@@ -102,15 +100,12 @@ class ContingentProbe:
             # second-order expansion of u_eps along a(t) = A_bar + t*dA + t^2/2*dA2:
             # the pure second derivative in (dA, dA) plus the first derivative in dA2
             d2V = op.solve_second_sensitivity(K1, dV1) + dV_tilde
-            self._sens.append(dV1)
-            self._sens2.append(d2V)
-            gap = self._energy_norm(V - self.u_bar)
             self.records.append(ProbeRecord(
                 n=n, eps=entry.eps, tau=entry.tau,
-                residual_fcd=self.fcd_residual(n),
-                residual_scd=self.scd_residual(n),
+                residual_fcd=self.fcd_residual(dV1),
+                residual_scd=self.scd_residual(dV1, d2V),
                 sens_norm=self._energy_norm(dV1),
-                state_gap=gap,
+                state_gap=self._energy_norm(V - self.u_bar),
             ))
         return self.records
 
@@ -120,15 +115,15 @@ class ContingentProbe:
     def _dual_residual(self, r: np.ndarray) -> float:
         return riesz_dual_norm(self.mesh, mean_zero_projection(r))
 
-    def fcd_residual(self, n: int) -> float:
-        """Dual-norm residual of the first-order characterization at entry n."""
-        r = self.K_bar @ self._sens[n] + self.K_dA @ self.u_bar
+    def fcd_residual(self, dV: np.ndarray) -> float:
+        """Dual-norm residual K_bar dV + K(dA) u_bar of the first-order characterization."""
+        r = self.K_bar @ dV + self.K_dA @ self.u_bar
         return self._dual_residual(r)
 
-    def scd_residual(self, n: int) -> float:
-        """Dual-norm residual of the second-order characterization at entry n."""
-        r = (self.K_bar @ self._sens2[n]
-             + 2.0 * (self.K_dA @ self._sens[n])
+    def scd_residual(self, dV: np.ndarray, d2V: np.ndarray) -> float:
+        """Dual-norm residual K_bar d2V + 2 K(dA) dV + K(dA2) u_bar of the second-order form."""
+        r = (self.K_bar @ d2V
+             + 2.0 * (self.K_dA @ dV)
              + self.K_dA2 @ self.u_bar)
         return self._dual_residual(r)
 

@@ -43,7 +43,7 @@ def test_criterion_01_adjoint_direct_gradient_identity(small):
     for _ in range(20):
         A = rng.uniform(0.1, 10.0, size=small.mesh.node_count)
         op = RegularizedForwardOperator(small.mesh, A, eps=1e-3, tau=1e-4)
-        V = op.solve_state(small.P)
+        V = op.solve(small.P)
         g_dir = oracles.ols_gradient_direct(op, V, small.Z)
         g_adj = obj.ols_gradient_adjoint(op.L(V), op.solve_adjoint(V, small.Z))
         worst = max(worst, np.linalg.norm(g_dir - g_adj) / np.linalg.norm(g_dir))
@@ -61,7 +61,7 @@ def test_criterion_02_finite_difference_oracles(small):
     A = rng.uniform(0.5, 2.0, size=mesh.node_count)
     eps, tau = 1e-2, 1e-3
     op = RegularizedForwardOperator(mesh, A, eps=eps, tau=tau)
-    V = op.solve_state(small.P)
+    V = op.solve(small.P)
     w = op.solve_adjoint(V, small.Z)
     g_ols = oracles.ols_gradient_direct(op, V, small.Z)
     g_mols = obj.mols_gradient(op.L(V), op.L(small.Z), V, small.Z)
@@ -69,7 +69,7 @@ def test_criterion_02_finite_difference_oracles(small):
 
     def state(Aq):
         o = RegularizedForwardOperator(mesh, Aq, eps=eps, tau=tau)
-        return o, o.solve_state(small.P)
+        return o, o.solve(small.P)
 
     gradient_errs = {"ols": [], "mols": []}
     for h in (1e-4, 1e-5, 1e-6):
@@ -119,7 +119,7 @@ def test_criterion_03_mols_convexity(small):
         A = rng.uniform(0.1, 10.0, size=mesh.node_count)
         eps = float(rng.uniform(1e-4, 1e-1))
         op = RegularizedForwardOperator(mesh, A, eps=eps)
-        V = op.solve_state(small.P)
+        V = op.solve(small.P)
         H = oracles.mols_hessian_dense(op, V)
         lam = np.linalg.eigvalsh(0.5 * (H + H.T)).min()
         min_eig = min(min_eig, lam)
@@ -248,7 +248,7 @@ def test_criterion_09_optimality_residuals():
         for entry, A_star in zip(sched, res.entry_solutions):
             Z, P = problem.entry_data(entry)
             op = problem.operator(A_star, entry)
-            V = op.solve_state(P)
+            V = op.solve(P)
             if objective == "ols":
                 p_adj = op.solve_adjoint(V, Z)
                 r = oracles.ols_optimality_residual(op, V, p_adj, A_star, entry.kappa,

@@ -49,6 +49,7 @@ def test_table2_and_table3_small_runs(tmp_path):
 def test_failure_exit_codes(tmp_path):
     assert main(["failure", "--eps", "0", "--n", "10"]) == 2
     assert main(["failure", "--eps", "1e-4", "--n", "10"]) == 0
+    assert main(["failure", "--eps", "1e-12", "--n", "8"]) == 2  # stops on linesearch_failure
 
 
 def test_unexpected_error_exit_code(tmp_path, capsys):

@@ -105,7 +105,11 @@ def test_failure_demo_statuses(monkeypatch):
     rep1 = exp.run_failure_demo(cfg1, n=12)
     assert rep1["status"] == "success"
     assert rep1["condition_estimate"] < 1e9
-    assert builds == [12, 12]
+    # a run that stops short of grad_tol fails too, though no system was singular
+    rep2 = exp.run_failure_demo(exp.ExperimentConfig(eps=1e-12), n=8)
+    assert rep2["status"] == "failed"
+    assert "linesearch_failure" in rep2["reason"]
+    assert builds == [12, 12, 8]
 
 
 

@@ -28,7 +28,7 @@ def test_solve_matches_dense(prob):
     rng = np.random.Generator(np.random.Philox(key=10))
     A = rng.uniform(0.1, 10.0, size=prob.mesh.node_count)
     op = RegularizedForwardOperator(prob.mesh, A, eps=1e-3, tau=1e-4)
-    V = op.solve_state(prob.P)
+    V = op.solve(prob.P)
     dense = np.linalg.solve(op.system.toarray(), prob.P)
     assert np.linalg.norm(V - dense) <= 1e-10 * np.linalg.norm(dense)
 
@@ -40,12 +40,12 @@ def test_solve_refines_then_raises(prob):
     rng = np.random.Generator(np.random.Philox(key=10))
     A = rng.uniform(0.1, 10.0, size=prob.mesh.node_count)
     op = RegularizedForwardOperator(prob.mesh, A, eps=1e-3)
-    V = op.solve_state(prob.P)
+    V = op.solve(prob.P)
     op._lu = forward._factorize((1.0 + 1e-6) * op.system)
-    assert np.linalg.norm(op.solve_state(prob.P) - V) <= 1e-10 * np.linalg.norm(V)
+    assert np.linalg.norm(op.solve(prob.P) - V) <= 1e-10 * np.linalg.norm(V)
     op._lu = forward._factorize(2.0 * op.system)
     with pytest.raises(SingularSystemError, match="did not reach tolerance") as exc:
-        op.solve_state(prob.P)
+        op.solve(prob.P)
     assert exc.value.condition_estimate == op.condition_estimate
 
 
@@ -80,7 +80,7 @@ def test_near_singular_warning_flag(prob):
     for A, eps, flagged in [(ones, 1e-12, True), (ones, 1e-4, False),
                             (contrast, 2e-9, True)]:
         op = RegularizedForwardOperator(mesh, A, eps=eps)
-        op.solve_state(prob.P)
+        op.solve(prob.P)
         assert "near_singular" not in op.__dict__  # computed on first read only
         # tau = 0 and K annihilates constants, so the eigenvalue is eps
         eager = eps < LAMBDA_WARN or _pivot_ratio(op) < 1e-12
@@ -133,12 +133,12 @@ def test_sensitivity_finite_difference(prob):
     dA = rng.standard_normal(mesh.node_count)
     eps, tau = 1e-2, 1e-3
     op = RegularizedForwardOperator(mesh, A, eps=eps, tau=tau)
-    V = op.solve_state(prob.P)
+    V = op.solve(prob.P)
     dV = op.solve_sensitivity(V, assembly.assemble_perturbed_stiffness(mesh, dA, tau))
     errs = []
     for h in (1e-3, 1e-4, 1e-5):
-        Vp = RegularizedForwardOperator(mesh, A + h * dA, eps=eps, tau=tau).solve_state(prob.P)
-        Vm = RegularizedForwardOperator(mesh, A - h * dA, eps=eps, tau=tau).solve_state(prob.P)
+        Vp = RegularizedForwardOperator(mesh, A + h * dA, eps=eps, tau=tau).solve(prob.P)
+        Vm = RegularizedForwardOperator(mesh, A - h * dA, eps=eps, tau=tau).solve(prob.P)
         fd = (Vp - Vm) / (2 * h)
         errs.append(np.linalg.norm(dV - fd) / np.linalg.norm(fd))
     assert min(errs) <= 1e-7
@@ -151,14 +151,14 @@ def test_second_sensitivity_finite_difference(prob):
     dA = rng.standard_normal(mesh.node_count)
     eps, tau = 1e-2, 0.0
     op = RegularizedForwardOperator(mesh, A, eps=eps, tau=tau)
-    V = op.solve_state(prob.P)
+    V = op.solve(prob.P)
     K_dA = assembly.assemble_perturbed_stiffness(mesh, dA, tau)
     dV = op.solve_sensitivity(V, K_dA)
     d2V = op.solve_second_sensitivity(K_dA, dV)
     errs = []
     for h in (1e-2, 1e-3, 1e-4):
-        Vp = RegularizedForwardOperator(mesh, A + h * dA, eps=eps).solve_state(prob.P)
-        Vm = RegularizedForwardOperator(mesh, A - h * dA, eps=eps).solve_state(prob.P)
+        Vp = RegularizedForwardOperator(mesh, A + h * dA, eps=eps).solve(prob.P)
+        Vm = RegularizedForwardOperator(mesh, A - h * dA, eps=eps).solve(prob.P)
         fd2 = (Vp - 2 * V + Vm) / h**2
         errs.append(np.linalg.norm(d2V - fd2) / np.linalg.norm(fd2))
     assert min(errs) <= 1e-5
@@ -168,7 +168,7 @@ def test_adjoint_is_weighted_residual_solve(prob):
     mesh = prob.mesh
     A = np.full(mesh.node_count, 2.0)
     op = RegularizedForwardOperator(mesh, A, eps=1e-3)
-    V = op.solve_state(prob.P)
+    V = op.solve(prob.P)
     w = op.solve_adjoint(V, prob.Z)
     assert np.allclose(op.system @ w, op.M @ (prob.Z - V), atol=1e-10)
 
@@ -193,7 +193,7 @@ def test_regularized_solution_approaches_neumann_selection(prob):
     u0 = solve_neumann_mean_zero(mesh, assembly.assemble_stiffness(mesh, A), prob.P)
     gaps = []
     for eps in (1e-2, 1e-3, 1e-4):
-        V = RegularizedForwardOperator(mesh, A, eps=eps).solve_state(prob.P)
+        V = RegularizedForwardOperator(mesh, A, eps=eps).solve(prob.P)
         gaps.append(np.linalg.norm(mean_zero_projection(V - u0)))
     assert gaps[1] < gaps[0] and gaps[2] < gaps[1]
 

@@ -62,3 +62,8 @@ def test_negative_levels_rejected():
         perturb_data(np.zeros(4), 0, -0.1)
     with pytest.raises(ValueError):
         perturb_functional(np.zeros(mesh.node_count), mesh, 0, -1e-9)
+    for level in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            perturb_data(np.zeros(4), 0, level)
+        with pytest.raises(ValueError, match="finite"):
+            perturb_functional(np.zeros(mesh.node_count), mesh, 0, level)

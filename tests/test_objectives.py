@@ -21,7 +21,7 @@ def setup():
     rng = np.random.Generator(np.random.Philox(key=20))
     A = rng.uniform(0.5, 2.0, size=prob.mesh.node_count)
     op = RegularizedForwardOperator(prob.mesh, A, eps=1e-2, tau=1e-3)
-    V = op.solve_state(prob.P)
+    V = op.solve(prob.P)
     return prob, A, op, V
 
 
@@ -33,8 +33,8 @@ def _fd_gradient(prob, A, eps, tau, value_fn, h=1e-6):
         e[i] = h
         op_p = RegularizedForwardOperator(prob.mesh, A + e, eps=eps, tau=tau)
         op_m = RegularizedForwardOperator(prob.mesh, A - e, eps=eps, tau=tau)
-        g[i] = (value_fn(op_p, op_p.solve_state(prob.P))
-                - value_fn(op_m, op_m.solve_state(prob.P))) / (2 * h)
+        g[i] = (value_fn(op_p, op_p.solve(prob.P))
+                - value_fn(op_m, op_m.solve(prob.P))) / (2 * h)
     return g
 
 
@@ -90,7 +90,7 @@ def test_mols_hessian_action_psd_on_jittered_meshes(n, seed):
     eps = float(rng.uniform(1e-4, 1e-1))
     tau = float(rng.choice([0.0, rng.uniform(0.0, 1e-2)]))
     op = RegularizedForwardOperator(mesh, A, eps=eps, tau=tau)
-    V = op.solve_state(rng.standard_normal(m))
+    V = op.solve(rng.standard_normal(m))
     LV = op.L(V)
     for d in rng.standard_normal((3, m)):
         Hd = obj.mols_hessian_action(op, LV, d)
@@ -110,7 +110,7 @@ def test_hessians_match_fd_of_gradient(setup):
         e[i] = h
         op_p = RegularizedForwardOperator(prob.mesh, A + e, eps=op.eps, tau=op.tau)
         op_m = RegularizedForwardOperator(prob.mesh, A - e, eps=op.eps, tau=op.tau)
-        Vp, Vm = op_p.solve_state(prob.P), op_m.solve_state(prob.P)
+        Vp, Vm = op_p.solve(prob.P), op_m.solve(prob.P)
         Hf_ols[:, i] = (oracles.ols_gradient_direct(op_p, Vp, prob.Z)
                         - oracles.ols_gradient_direct(op_m, Vm, prob.Z)) / (2 * h)
         Hf_mols[:, i] = (obj.mols_gradient(op_p.L(Vp), op_p.L(prob.Z), Vp, prob.Z)
@@ -139,7 +139,7 @@ def test_gradient_with_regularizer_term(setup):
     g, _, _ = fun.derivatives(fun.evaluate(A)[1])
     # the objective's state solves the data-steered load
     Z, P = problem.entry_data(entry)
-    V = op.solve_state(P)
+    V = op.solve(P)
     g_plain = obj.ols_gradient_adjoint(op.L(V), op.solve_adjoint(V, Z))
     W = assembly.assemble_s_matrix(prob.mesh)
     assert np.allclose(g, g_plain + kappa * (W @ A), atol=1e-13)
@@ -177,7 +177,7 @@ def test_vi_residual_nonnegative_at_minimizer():
     prob = ManufacturedProblem.build(4)
     A = np.ones(prob.mesh.node_count)
     op = RegularizedForwardOperator(prob.mesh, A, eps=1e-2)
-    V = op.solve_state(prob.P)
+    V = op.solve(prob.P)
     res = oracles.mols_optimality_residual(op, V, V.copy(), A, 0.0, 0.1, 10.0)
     # with Z = V the MOLS gradient vanishes identically, so no descent direction
     assert res >= -1e-12

@@ -109,7 +109,7 @@ def test_ols_vi_residual_at_minimizer():
     assert res.success
     Z, P = problem.entry_data(entry)
     op = problem.operator(res.A, entry)
-    V = op.solve_state(P)
+    V = op.solve(P)
     r = oracles.ols_optimality_residual(op, V, op.solve_adjoint(V, Z), res.A, entry.kappa,
                                         problem.c1, problem.c2)
     assert r >= -1e-6

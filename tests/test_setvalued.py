@@ -47,13 +47,23 @@ def test_scd_and_equivalent_form_agree(probe):
     # with the consistent first-order solution in the tilde direction the two
     # second-order variational forms are algebraically identical; the
     # equivalent form has T(a_bar, dV_tilde, .) in place of -T(dA2, u_bar, .)
-    rhs = -assembly.apply_L(probe.mesh, probe.u_bar, probe.dA2)
-    K_bar = assembly.assemble_stiffness(probe.mesh, probe.A_bar)
-    dV_tilde = solve_neumann_mean_zero(probe.mesh, K_bar, rhs)
+    mesh = probe.mesh
+    rhs = -assembly.apply_L(mesh, probe.u_bar, probe.dA2)
+    K_bar = assembly.assemble_stiffness(mesh, probe.A_bar)
+    dV_tilde = solve_neumann_mean_zero(mesh, K_bar, rhs)
     for n in (0, 3, 7):
-        r = K_bar @ probe._sens2[n] + 2.0 * (probe.K_dA @ probe._sens[n]) - K_bar @ dV_tilde
-        equivalent = riesz_dual_norm(probe.mesh, mean_zero_projection(r))
-        assert abs(probe.scd_residual(n) - equivalent) <= 1e-12
+        # the entry's sensitivities, rebuilt outside the probe (dA2 is dA here)
+        entry = probe.schedule[n]
+        op = RegularizedForwardOperator(mesh, probe.A_bar, eps=entry.eps, tau=entry.tau)
+        K1 = assembly.assemble_perturbed_stiffness(mesh, probe.dA, entry.tau)
+        dV = op.solve_sensitivity(op.solve(probe.P), K1)
+        d2V = op.solve_second_sensitivity(K1, dV) + dV
+        r = K_bar @ d2V + 2.0 * (probe.K_dA @ dV) - K_bar @ dV_tilde
+        equivalent = riesz_dual_norm(mesh, mean_zero_projection(r))
+        assert abs(probe.scd_residual(dV, d2V) - equivalent) <= 1e-12
+        # the residuals are functions of the vectors they are given
+        assert probe.fcd_residual(dV) == probe.records[n].residual_fcd
+        assert probe.scd_residual(dV, d2V) == probe.records[n].residual_scd
 
 
 def test_sensitivity_norms_bounded(probe):
@@ -156,7 +166,7 @@ def _oracle_records(mesh, A_bar, P, dA, dA2, schedule, coercive):
     K_bar = assembly.assemble_stiffness(mesh, A_bar)
     if coercive:
         K_bar = K_bar + W
-        u_bar = RegularizedForwardOperator(mesh, A_bar, eps=1.0).solve_state(P)
+        u_bar = RegularizedForwardOperator(mesh, A_bar, eps=1.0).solve(P)
     else:
         u_bar = solve_neumann_mean_zero(mesh, K_bar, P)
 
@@ -169,7 +179,7 @@ def _oracle_records(mesh, A_bar, P, dA, dA2, schedule, coercive):
     records = []
     for e in schedule:
         op = RegularizedForwardOperator(mesh, A_bar, eps=e.eps + float(coercive), tau=e.tau)
-        V = op.solve_state(P)
+        V = op.solve(P)
         dV1 = op.solve(-assembly.apply_L(mesh, V, dA, e.tau))
         dV_tilde = op.solve(-assembly.apply_L(mesh, V, dA2, e.tau))
         d2V = op.solve(-2.0 * (assembly.assemble_L(mesh, dV1, e.tau) @ dA)) + dV_tilde
