@@ -1,8 +1,8 @@
 """Command-line entry point for the reconstruction experiments and probes.
 
 Each subcommand takes only the flags its handler reads, plus ``--config
-FILE``. Exit codes: 0 success, 2 expected structured failure (the
-singular-system demo), 1 anything else, usage errors included.
+FILE``. Exit codes: 0 success; 2 when the failure demo's reconstruction
+fails (a singular system or no convergence); 1 anything else, usage errors included.
 """
 
 from __future__ import annotations

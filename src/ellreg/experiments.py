@@ -101,8 +101,8 @@ def _errors(mesh, A_star, V_star, A_true, u_ref, Z_interp):
     )
 
 
-def run_cell(config: ExperimentConfig, n: int, delta: float = 0.0):
-    """One table cell: reconstruct on an n-by-n mesh at noise level delta."""
+def _reconstruct(config: ExperimentConfig, n: int, delta: float = 0.0):
+    """Build the manufactured problem on an n-by-n mesh and minimize; (problem, result)."""
     prob_data = ManufacturedProblem.build(n)
     mesh = prob_data.mesh
     entry = ScheduleEntry(eps=config.eps, tau=0.0, nu=0.0, delta=delta, kappa=config.kappa)
@@ -113,15 +113,20 @@ def run_cell(config: ExperimentConfig, n: int, delta: float = 0.0):
         seed=config.seed,
     )
     A0 = np.full(mesh.node_count, 0.5 * (config.c1 + config.c2))
+    return prob_data, minimize(problem, (entry,), config.objective, A0)
+
+
+def run_cell(config: ExperimentConfig, n: int, delta: float = 0.0):
+    """One table cell: (result, errors or None if singular, wall time incl. the build)."""
     t0 = time.perf_counter()
-    result = minimize(problem, (entry,), config.objective, A0)
+    prob_data, result = _reconstruct(config, n, delta)
     wall = time.perf_counter() - t0
     if not result.success:
         return result, None, wall
     # reference state: discrete regularized solve at the true coefficient
-    op_ref = RegularizedForwardOperator(mesh, prob_data.A_true, eps=config.eps)
+    op_ref = RegularizedForwardOperator(prob_data.mesh, prob_data.A_true, eps=config.eps)
     u_ref = op_ref.solve(prob_data.P)
-    errs = _errors(mesh, result.A, result.V, prob_data.A_true, u_ref, prob_data.Z)
+    errs = _errors(prob_data.mesh, result.A, result.V, prob_data.A_true, u_ref, prob_data.Z)
     return result, errs, wall
 
 
@@ -171,17 +176,11 @@ def write_table_csv(rows: list[TableRow], path, config: ExperimentConfig) -> Non
 def run_failure_demo(config: ExperimentConfig, n: int) -> dict:
     """Attempt a reconstruction at the configured eps; eps = 0 must fail structurally.
 
-    Any termination but grad_tol is "failed"; a near-singular converged run only warns."""
-    try:
-        result, errs, wall = run_cell(config, n)
-    except SingularSystemError as err:  # raised outside minimize (reference solve)
-        return {"status": "failed", "reason": str(err),
-                "condition_estimate": err.condition_estimate}
+    Any termination but grad_tol is "failed"; a near-singular final operator only warns."""
+    _, result = _reconstruct(config, n)
     if result.termination != "grad_tol":
         reason = result.failure_reason or f"minimize stopped on {result.termination}"
         return {"status": "failed", "reason": reason,
                 "condition_estimate": result.condition_estimate}
-    status = "success-with-warning" if result.near_singular else "success"
-    return {"status": status, "condition_estimate": result.condition_estimate,
-            "errors": errs, "wall_time": wall}
-
+    status = "success-with-warning" if result.operator.near_singular else "success"
+    return {"status": status, "condition_estimate": result.condition_estimate}

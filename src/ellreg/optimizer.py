@@ -46,8 +46,8 @@ class ReconstructionResult:
 
     ``termination`` is how the last entry stopped: "grad_tol", "max_iters",
     "linesearch_failure" or "singular_system". ``success`` is derived from
-    it, False only for "singular_system"; then ``A`` and ``V`` are None, and
-    ``entry_logs`` and ``entry_solutions`` keep the entries completed before it.
+    it, False only for "singular_system"; then ``A``, ``V`` and ``operator`` are
+    None, and ``entry_logs`` and ``entry_solutions`` keep the entries completed before it.
     """
 
     A: Optional[np.ndarray] = None
@@ -55,7 +55,7 @@ class ReconstructionResult:
     termination: str = ""
     failure_reason: str = ""
     condition_estimate: Optional[float] = None  # of the final (or the failing) operator
-    near_singular: bool = False  # the final operator's near-singularity flag
+    operator: Optional[RegularizedForwardOperator] = None  # the final operator
     entry_logs: list = field(default_factory=list)  # one list of EntryLogRow per entry
     entry_solutions: list = field(default_factory=list)  # A* after each entry
 
@@ -279,7 +279,7 @@ def minimize(problem: IdentificationProblem, schedule: tuple, objective: str,
         result.termination = termination
     result.A = A
     result.V = V
+    result.operator = op
     result.condition_estimate = op.condition_estimate
-    result.near_singular = op.near_singular
     return result
 

@@ -167,6 +167,16 @@ def test_check_gradients_passes(capsys, monkeypatch):
     assert "gradient routes agree" in capsys.readouterr().out
 
 
+def test_check_gradients_mismatch_exits_1(capsys, monkeypatch):
+    from ellreg import oracles
+
+    direct = oracles.ols_gradient_direct
+    monkeypatch.setattr(oracles, "ols_gradient_direct",
+                        lambda op, V, Z: 1.01 * direct(op, V, Z))
+    assert main(["check-gradients"]) == 1
+    assert "GRADIENT ROUTE MISMATCH" in capsys.readouterr().out
+
+
 def test_cli_outputs_byte_identical(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     for out in (out1, out2):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from ellreg import experiments as exp
+from ellreg import forward
+from ellreg.cli import main
 from ellreg.forward import SingularSystemError
 from ellreg.mesh import build_unit_square
 
@@ -112,15 +114,33 @@ def test_failure_demo_statuses(monkeypatch):
     assert builds == [12, 12, 8]
 
 
-
 def test_failure_demo_reference_solve_failure(monkeypatch):
-    # the reconstruction succeeds, then the reference solve at the true
-    # coefficient is singular: the demo reports it with its condition estimate
+    # the demo reads only the reconstruction: a singular reference system at
+    # the true coefficient cannot fail it, because it is never built
     def singular(*args, **kwargs):
         raise SingularSystemError("reference system is singular", 3.5e17)
 
     monkeypatch.setattr(exp, "RegularizedForwardOperator", singular)
     rep = exp.run_failure_demo(exp.ExperimentConfig(eps=1e-4), n=6)
-    assert rep["status"] == "failed"
-    assert rep["reason"] == "reference system is singular"
-    assert rep["condition_estimate"] == 3.5e17
+    assert rep["status"] == "success"
+    assert rep["condition_estimate"] < 1e9
+
+
+def test_failure_demo_warns_on_near_singular_operator(monkeypatch, capsys):
+    # eps = 1e-4 is the constant-mode eigenvalue, below a warning level of 1e-3
+    monkeypatch.setattr(forward, "LAMBDA_WARN", 1e-3)
+    rep = exp.run_failure_demo(exp.ExperimentConfig(eps=1e-4), n=12)
+    assert rep["status"] == "success-with-warning"
+    assert set(rep) == {"status", "condition_estimate"}  # no errors, no wall time
+    assert main(["failure", "--eps", "1e-4", "--n", "12"]) == 0
+    assert "status: success-with-warning" in capsys.readouterr().out
+
+
+def test_run_cell_leaves_pivot_check_unread():
+    # minimize hands back the final operator; its near_singular check, which
+    # copies the U factor, runs only when a caller reads it
+    result, errs, _ = exp.run_cell(exp.ExperimentConfig(), 8)
+    assert errs is not None
+    assert "near_singular" not in result.operator.__dict__
+    assert result.condition_estimate == result.operator.condition_estimate
+    assert result.operator.near_singular is False
