@@ -80,7 +80,7 @@ def perturb(K: sp.csr_matrix, M_a: sp.csr_matrix, tau: float) -> sp.csr_matrix:
 def assemble_s_matrix(mesh: Mesh) -> sp.csr_matrix:
     """W_ij = S(phi_i, phi_j) with S the full H1 inner product (coercive, alpha0=1)."""
     ones = np.ones(mesh.node_count)
-    return (assemble_stiffness(mesh, ones) + assemble_mass(mesh)).tocsr()
+    return (assemble_stiffness(mesh, ones) + shared_mass(mesh)).tocsr()
 
 
 def shared_mass(mesh: Mesh) -> sp.csr_matrix:

@@ -16,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import assembly
-from .forward import RegularizedForwardOperator, ScheduleEntry, SingularSystemError
+from .forward import RegularizedForwardOperator, ScheduleEntry
 from .mesh import Mesh, build_unit_square, interpolate
 from .optimizer import IdentificationProblem, minimize
 
@@ -143,7 +143,7 @@ def run_table(config: ExperimentConfig) -> list[TableRow]:
     for (n, delta), label in zip(cells, labels):
         result, errs, wall = run_cell(config, n, delta)
         if errs is None:
-            raise SingularSystemError(result.failure_reason, result.condition_estimate)
+            raise result.error
         rows.append(TableRow(label=label, iterations=result.iterations,
                              wall_time=wall, **errs))
     return rows

@@ -46,15 +46,15 @@ class ReconstructionResult:
 
     ``termination`` is how the last entry stopped: "grad_tol", "max_iters",
     "linesearch_failure" or "singular_system". ``success`` is derived from
-    it, False only for "singular_system"; then ``A``, ``V`` and ``operator`` are
-    None, and ``entry_logs`` and ``entry_solutions`` keep the entries completed before it.
+    it, False only for "singular_system"; then ``error`` is the caught
+    ``SingularSystemError``, ``A``, ``V`` and ``operator`` are None, and
+    ``entry_logs`` and ``entry_solutions`` keep the entries completed before it.
     """
 
     A: Optional[np.ndarray] = None
     V: Optional[np.ndarray] = None
     termination: str = ""
-    failure_reason: str = ""
-    condition_estimate: Optional[float] = None  # of the final (or the failing) operator
+    error: Optional[SingularSystemError] = None
     operator: Optional[RegularizedForwardOperator] = None  # the final operator
     entry_logs: list = field(default_factory=list)  # one list of EntryLogRow per entry
     entry_solutions: list = field(default_factory=list)  # A* after each entry
@@ -62,6 +62,15 @@ class ReconstructionResult:
     @property
     def success(self) -> bool:
         return self.termination != "singular_system"
+
+    @property
+    def failure_reason(self) -> str:
+        return "" if self.error is None else str(self.error)
+
+    @property
+    def condition_estimate(self) -> float:
+        """Of the failing operator, else of the final one."""
+        return (self.operator if self.error is None else self.error).condition_estimate
 
     @property
     def iterations(self) -> int:
@@ -249,8 +258,7 @@ def _minimize_entry(fun: _EntryObjective, A0, c1, c2):
             break
         A, value, state = A_try, v_try, s_try
         grad, hess, diag = fun.derivatives(state)
-    _, V, op, _ = state
-    return A, V, op, log, termination
+    return A, state, log, termination
 
 
 def minimize(problem: IdentificationProblem, schedule: tuple, objective: str,
@@ -268,18 +276,15 @@ def minimize(problem: IdentificationProblem, schedule: tuple, objective: str,
     for entry in schedule:
         fun = _EntryObjective(problem, entry, objective)
         try:
-            A, V, op, log, termination = _minimize_entry(fun, A, problem.c1, problem.c2)
+            A, state, log, termination = _minimize_entry(fun, A, problem.c1, problem.c2)
         except SingularSystemError as err:
-            result.failure_reason = str(err)
-            result.condition_estimate = err.condition_estimate
+            result.error = err
             result.termination = "singular_system"
             return result
         result.entry_logs.append(log)
         result.entry_solutions.append(A.copy())
         result.termination = termination
     result.A = A
-    result.V = V
-    result.operator = op
-    result.condition_estimate = op.condition_estimate
+    _, result.V, result.operator, _ = state
     return result
 

@@ -41,11 +41,12 @@ class ContingentProbe:
     """Drives the regularized map to its limit at a fixed base point.
 
     ``coercive`` switches the base operator from pure-Neumann K(A) to the
-    coercive surrogate K(A) + W; in the coercive case the base solution is a
-    plain solve, otherwise the mean-zero representative from the saddle-point
-    oracle. A_bar, dA and dA2 are fixed per probe, so their stiffness and
-    a-weighted mass matrices are assembled once; each schedule entry forms
-    K_tau = K + tau*M_a from them with ``assembly.perturb``.
+    coercive surrogate K(A) + W. In the coercive case that operator is the
+    system of the eps = 1 forward operator, whose solve gives the base
+    solution; otherwise the base solution is the mean-zero representative
+    from the saddle-point oracle. A_bar, dA and dA2 are fixed per probe, so
+    their stiffness and a-weighted mass matrices are assembled once; each
+    schedule entry forms K_tau = K + tau*M_a from them with ``assembly.perturb``.
     """
 
     mesh: Mesh
@@ -72,9 +73,8 @@ class ContingentProbe:
             self.K_dA2 = assembly.assemble_stiffness(mesh, self.dA2)
             self.M_dA2 = assembly.assemble_weighted_mass(mesh, self.dA2)
         if self.coercive:
-            self.K_bar = (self.K_A + self.W).tocsr()
             op0 = RegularizedForwardOperator(mesh, self.A_bar, eps=1.0, K_tau=self.K_A)
-            self.u_bar = op0.solve(self.P)
+            self.K_bar, self.u_bar = op0.system, op0.solve(self.P)
         else:
             self.K_bar = self.K_A
             self.u_bar = solve_neumann_mean_zero(mesh, self.K_A, self.P)

@@ -252,10 +252,10 @@ def test_criterion_09_optimality_residuals():
             if objective == "ols":
                 p_adj = op.solve_adjoint(V, Z)
                 r = oracles.ols_optimality_residual(op, V, p_adj, A_star, entry.kappa,
-                                                    0.1, 10.0)
+                                                    problem.c1, problem.c2)
             else:
                 r = oracles.mols_optimality_residual(op, V, Z, A_star, entry.kappa,
-                                                     0.1, 10.0)
+                                                     problem.c1, problem.c2)
             assert r >= -1e-6
             violations.append(max(0.0, -r))
         assert violations[-1] <= violations[0] + 1e-12

@@ -244,11 +244,21 @@ def test_assembled_L_of_constant_is_zero(n, seed):
     assert not assembly.assemble_L(mesh, const).data.any()
 
 
-def test_shared_matrices_are_built_once_and_read_only():
+def test_shared_matrices_are_built_once_and_read_only(monkeypatch):
+    # W = K(1) + M sums the mesh's shared M, so a fresh mesh assembles M once
+    mass_calls = []
+    assemble_mass = assembly.assemble_mass
+
+    def counted(mesh):
+        mass_calls.append(mesh)
+        return assemble_mass(mesh)
+
+    monkeypatch.setattr(assembly, "assemble_mass", counted)
     mesh = build_unit_square(3)
     W = assembly.shared_s_matrix(mesh)
     M = assembly.shared_mass(mesh)
     assert assembly.shared_s_matrix(mesh) is W and assembly.shared_mass(mesh) is M
+    assert len(mass_calls) == 1
     assert np.allclose(W.toarray(), assembly.assemble_s_matrix(mesh).toarray(), atol=1e-15)
     assert np.allclose(M.toarray(), assembly.assemble_mass(mesh).toarray(), atol=1e-15)
     with pytest.raises(ValueError):

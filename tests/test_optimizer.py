@@ -77,8 +77,10 @@ def test_eps_zero_entry_gives_structured_failure():
     res = minimize(problem, sched, "ols", np.full(prob.mesh.node_count, 5.05))
     assert not res.success
     assert res.termination == "singular_system"
-    assert "singular" in res.failure_reason
-    assert res.condition_estimate is not None
+    assert isinstance(res.error, SingularSystemError)
+    # the reason and the condition estimate are the caught error's
+    assert res.failure_reason == str(res.error) and "singular" in res.failure_reason
+    assert res.condition_estimate == res.error.condition_estimate
     assert res.A is None
     # a failing later entry keeps what the entries before it produced
     prob, problem = _problem(6)
@@ -94,7 +96,7 @@ def test_empty_schedule_rejected():
         minimize(problem, (), "ols", np.ones(prob.mesh.node_count))
 
 
-def test_solve_options_validation():
+def test_objective_validated_before_schedule():
     # the objective is checked before anything else, an empty schedule included
     prob, problem = _problem(4)
     for schedule in ((_entry(),), ()):
@@ -201,6 +203,24 @@ def test_rejected_trial_point_not_evaluated_again(monkeypatch):
     assert len(seen) < 1 + sum(row.trials for row in result.entry_logs[0])
 
 
+class _Quadratic:
+    """g.A + A.diag(lam).A / 2, whose state is the point A itself;
+    evaluating a point with max|A| above ``singular_above`` raises."""
+
+    def __init__(self, g, lam, singular_above=np.inf):
+        self.g, self.lam, self.singular_above = g, lam, singular_above
+        self.evaluated = []
+
+    def evaluate(self, A):
+        self.evaluated.append(A.copy())
+        if np.max(np.abs(A)) > self.singular_above:
+            raise SingularSystemError("singular trial", np.inf)
+        return self.g @ A + 0.5 * A @ (self.lam * A), A
+
+    def derivatives(self, A):
+        return self.g + self.lam * A, lambda d: self.lam * d, np.ones_like(self.g)
+
+
 def test_cg_returns_truncated_direction_after_three_shifts(monkeypatch):
     # the Rayleigh quotients CG meets underestimate the eigenvalue -100, so
     # each shift still leaves H + shift*I indefinite and all three attempts
@@ -220,23 +240,15 @@ def test_cg_returns_truncated_direction_after_three_shifts(monkeypatch):
     assert np.allclose(p / np.linalg.norm(p), -g / np.linalg.norm(g), rtol=0, atol=1e-15)
     assert p @ g < 0
 
-    class Quadratic:
-        """g.A + A.diag(lam).A / 2, with the state tuple _minimize_entry unpacks."""
-
-        def evaluate(self, A):
-            return g @ A + 0.5 * A @ (lam * A), (A, None, None, None)
-
-        def derivatives(self, state):
-            return g + lam * state[0], lambda d: lam * d, np.ones(5)
-
+    fun = _Quadratic(g, lam)
     A0 = np.zeros(5)
     monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
-    A, _, _, log, termination = optimizer._minimize_entry(Quadratic(), A0, -10.0, 10.0)
+    A, _, log, termination = optimizer._minimize_entry(fun, A0, -10.0, 10.0)
     # _minimize_entry keeps the returned descent direction (no fallback to
     # -grad) and its full step passes the Armijo test
     assert log[0].cg_iters == 6 and log[0].trials == 1
     assert np.array_equal(A, A0 + p)
-    assert Quadratic().evaluate(A)[0] < Quadratic().evaluate(A0)[0]
+    assert fun.evaluate(A)[0] < fun.evaluate(A0)[0]
     assert termination == "max_iters"
 
 
@@ -262,30 +274,12 @@ def test_cg_shift_adds_curvature_of_shifted_operator():
     assert p @ g < 0
 
 
-class _Quadratic:
-    """g.A + A.diag(lam).A / 2 with the state tuple _minimize_entry unpacks;
-    evaluating a point with max|A| above ``singular_above`` raises."""
-
-    def __init__(self, g, lam, singular_above=np.inf):
-        self.g, self.lam, self.singular_above = g, lam, singular_above
-        self.evaluated = []
-
-    def evaluate(self, A):
-        self.evaluated.append(A.copy())
-        if np.max(np.abs(A)) > self.singular_above:
-            raise SingularSystemError("singular trial", np.inf)
-        return self.g @ A + 0.5 * A @ (self.lam * A), (A, None, None, None)
-
-    def derivatives(self, state):
-        return self.g + self.lam * state[0], lambda d: self.lam * d, np.ones_like(self.g)
-
-
 def test_ascent_direction_falls_back_to_steepest_descent(monkeypatch):
     g = np.ones(5)
     fun = _Quadratic(g, np.arange(1.0, 6.0))
     monkeypatch.setattr(optimizer, "_cg", lambda hess, grad, diag: (grad.copy(), 1))
     monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
-    A, _, _, log, termination = optimizer._minimize_entry(fun, np.zeros(5), -10.0, 10.0)
+    A, _, log, termination = optimizer._minimize_entry(fun, np.zeros(5), -10.0, 10.0)
     # +grad is an ascent direction, so the step runs along -grad: the full
     # step -g overshoots (value 2.5 > 0) and the half step is accepted
     assert [list(a) for a in fun.evaluated] == [[0.0] * 5, [-1.0] * 5, [-0.5] * 5]
@@ -298,7 +292,7 @@ def test_singular_trial_is_rejected_and_step_backtracks(monkeypatch):
     g = np.ones(5)
     fun = _Quadratic(g, np.ones(5), singular_above=0.75)
     monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
-    A, _, _, log, termination = optimizer._minimize_entry(fun, np.zeros(5), -10.0, 10.0)
+    A, _, log, termination = optimizer._minimize_entry(fun, np.zeros(5), -10.0, 10.0)
     # the Newton step -g lands on a singular system: that trial counts as
     # rejected, t halves and the shorter step -g/2 is accepted
     assert [list(a) for a in fun.evaluated] == [[0.0] * 5, [-1.0] * 5, [-0.5] * 5]
