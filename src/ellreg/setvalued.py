@@ -11,6 +11,8 @@ unregularized operator annihilates constants.
 from __future__ import annotations
 
 import csv
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -18,11 +20,21 @@ import numpy as np
 from . import assembly
 from .forward import (
     RegularizedForwardOperator,
+    _factorize,
     mean_zero_projection,
     riesz_dual_norm,
     solve_neumann_mean_zero,
 )
 from .mesh import Mesh
+
+
+def _worker_count(entries: int) -> int:
+    """The CPUs this process may run on, at most one per entry and at least one."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, entries))
 
 
 @dataclass
@@ -80,34 +92,51 @@ class ContingentProbe:
             self.u_bar = solve_neumann_mean_zero(mesh, self.K_A, self.P)
 
     def run(self) -> list:
-        """Solve state and sensitivities dV, d2V per entry; its record keeps their residuals and norms."""
+        """One ``ProbeRecord`` per schedule entry, in schedule order.
+
+        The entries are independent regularized problems, so ``_record``
+        runs them on a thread pool of ``max(1, min(cpus, len(schedule)))``
+        workers, ``cpus`` the CPUs this process may run on
+        (``os.sched_getaffinity``, else ``os.cpu_count()``). Each entry does
+        the same arithmetic on any worker, so the records do not depend on
+        the worker count. W's Riesz-map factor, which every entry's
+        residuals read, is built before the workers start. If an entry
+        raises, ``run`` raises its error and ``records`` stays empty.
+        """
         self.records = []
-        # the coercive surrogate K + W regularized by eps is the operator at eps + 1
-        shift = float(self.coercive)
-        for n, entry in enumerate(self.schedule):
-            op = RegularizedForwardOperator(
-                self.mesh, self.A_bar, eps=entry.eps + shift, tau=entry.tau,
-                K_tau=assembly.perturb(self.K_A, self.M_A, entry.tau),
-            )
-            K1 = assembly.perturb(self.K_dA, self.M_dA, entry.tau)
-            V = op.solve(self.P)
-            dV1 = op.solve_sensitivity(V, K1)
-            if self.dA2 is self.dA:
-                dV_tilde = dV1
-            else:
-                dV_tilde = op.solve_sensitivity(
-                    V, assembly.perturb(self.K_dA2, self.M_dA2, entry.tau))
-            # second-order expansion of u_eps along a(t) = A_bar + t*dA + t^2/2*dA2:
-            # the pure second derivative in (dA, dA) plus the first derivative in dA2
-            d2V = op.solve_second_sensitivity(K1, dV1) + dV_tilde
-            self.records.append(ProbeRecord(
-                n=n, eps=entry.eps, tau=entry.tau,
-                residual_fcd=self.fcd_residual(dV1),
-                residual_scd=self.scd_residual(dV1, d2V),
-                sens_norm=self._energy_norm(dV1),
-                state_gap=self._energy_norm(V - self.u_bar),
-            ))
+        # the factor is cached on the mesh on first use; building it here
+        # keeps two workers from factorizing W at once
+        self.mesh.cached("s_factor", lambda m: _factorize(assembly.shared_s_matrix(m)))
+        with ThreadPoolExecutor(_worker_count(len(self.schedule))) as pool:
+            self.records = list(pool.map(self._record, range(len(self.schedule)),
+                                         self.schedule))
         return self.records
+
+    def _record(self, n: int, entry) -> ProbeRecord:
+        """Solve state and sensitivities dV, d2V at schedule entry ``n``; keep their residuals and norms."""
+        # the coercive surrogate K + W regularized by eps is the operator at eps + 1
+        op = RegularizedForwardOperator(
+            self.mesh, self.A_bar, eps=entry.eps + float(self.coercive), tau=entry.tau,
+            K_tau=assembly.perturb(self.K_A, self.M_A, entry.tau),
+        )
+        K1 = assembly.perturb(self.K_dA, self.M_dA, entry.tau)
+        V = op.solve(self.P)
+        dV1 = op.solve_sensitivity(V, K1)
+        if self.dA2 is self.dA:
+            dV_tilde = dV1
+        else:
+            dV_tilde = op.solve_sensitivity(
+                V, assembly.perturb(self.K_dA2, self.M_dA2, entry.tau))
+        # second-order expansion of u_eps along a(t) = A_bar + t*dA + t^2/2*dA2:
+        # the pure second derivative in (dA, dA) plus the first derivative in dA2
+        d2V = op.solve_second_sensitivity(K1, dV1) + dV_tilde
+        return ProbeRecord(
+            n=n, eps=entry.eps, tau=entry.tau,
+            residual_fcd=self.fcd_residual(dV1),
+            residual_scd=self.scd_residual(dV1, d2V),
+            sens_norm=self._energy_norm(dV1),
+            state_gap=self._energy_norm(V - self.u_bar),
+        )
 
     def _energy_norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(max(v @ (self.W @ v), 0.0)))

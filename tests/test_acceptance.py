@@ -277,5 +277,19 @@ def test_criterion_10_determinism_across_thread_counts(tmp_path):
         outs.append((out / "table1.csv").read_bytes()
                     + (out / "table1.csv.full.csv").read_bytes())
     assert outs[0] == outs[1] == outs[2]
-    _report(10, "CLI outputs byte-identical across repeated runs and "
-                "thread counts")
+    if hasattr(os, "sched_setaffinity"):
+        # the probe's worker count follows the CPUs the process may use:
+        # one when pinned to a single CPU, one per CPU otherwise
+        cpu = min(os.sched_getaffinity(0))
+        probes = []
+        for pin, tag in ((lambda: os.sched_setaffinity(0, {cpu}), "p1"), (None, "pn")):
+            out = tmp_path / tag
+            r = subprocess.run(
+                [sys.executable, "-m", "ellreg.cli", "probe", "--n", "12",
+                 "--out", str(out)],
+                preexec_fn=pin, capture_output=True, text=True)
+            assert r.returncode == 0, r.stderr
+            probes.append((out / "probe.csv").read_bytes())
+        assert probes[0] == probes[1]
+    _report(10, "CLI outputs byte-identical across repeated runs, BLAS thread "
+                "counts and probe worker counts")

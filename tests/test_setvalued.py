@@ -1,4 +1,7 @@
 import csv
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from ellreg import assembly
 from ellreg.experiments import ManufacturedProblem
 from ellreg.forward import (
     RegularizedForwardOperator,
+    ScheduleEntry,
+    SingularSystemError,
     default_schedule,
     mean_zero_projection,
     riesz_dual_norm,
@@ -221,3 +226,49 @@ def test_s_matrix_factorized_once_per_mesh(monkeypatch):
                         schedule=default_schedule(n_entries=2)).run()
     perturb_functional(prob.P, prob.mesh, 0, 1e-3)
     assert len(factorized) == 1
+
+
+def test_run_matches_entries_one_at_a_time(monkeypatch):
+    # the pool has more workers than cores and switches threads often; each
+    # record still equals, field for field, the one its entry gives alone
+    prob = ManufacturedProblem.build(12)
+    sched = default_schedule()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(len(sched))),
+                        raising=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for dA, dA2, coercive in _cases(prob.mesh, 36):
+            p = ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P, dA=dA,
+                                dA2=dA2, schedule=sched, coercive=coercive)
+            records = p.run()
+            assert records == [p._record(n, entry) for n, entry in enumerate(sched)]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_singular_entry_fails_the_run_and_leaves_no_records():
+    prob = ManufacturedProblem.build(6)
+    with pytest.raises(SingularSystemError) as direct:
+        RegularizedForwardOperator(prob.mesh, prob.A_true, eps=0.0, tau=0.0)
+    singular = ScheduleEntry(eps=0.0, tau=0.0, nu=0.0, delta=0.0, kappa=0.0)
+    sched = default_schedule(n_entries=3) + (singular,) + default_schedule(n_entries=2)
+    p = ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P,
+                        dA=np.ones(prob.mesh.node_count), schedule=sched)
+    threads = threading.active_count()
+    with pytest.raises(SingularSystemError) as raised:
+        p.run()
+    assert type(raised.value) is SingularSystemError
+    assert raised.value.condition_estimate == direct.value.condition_estimate
+    assert p.records == []
+    assert threading.active_count() == threads
+
+
+def test_run_leaves_no_worker_thread():
+    prob = ManufacturedProblem.build(4)
+    threads = threading.active_count()
+    for sched in ((), default_schedule(n_entries=3)):
+        p = ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P,
+                            dA=np.ones(prob.mesh.node_count), schedule=sched)
+        assert len(p.run()) == len(sched)
+        assert threading.active_count() == threads
