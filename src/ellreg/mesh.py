@@ -7,6 +7,7 @@ upper-right corner, giving two counterclockwise triangles per cell.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,7 @@ class Mesh:
     grads: np.ndarray = field(init=False, repr=False)
     # values derived from the mesh alone, built on first use (see ``cached``)
     _cache: dict = field(default_factory=dict, init=False, repr=False)
+    _lock: threading.RLock = field(default_factory=threading.RLock, init=False, repr=False)
 
     def __post_init__(self):
         p = self.nodes[self.triangles]  # (T, 3, 2)
@@ -59,12 +61,15 @@ class Mesh:
     def cached(self, key: str, build):
         """``build(self)``, computed on the first call for ``key`` and shared after.
 
-        The arrays of the shared value are made read-only, so no caller can
-        change it under another.
+        The mesh's reentrant lock is held from the check to the store, so
+        threads that ask at once build one value, and a builder may read
+        other keys. The arrays of the shared value are made read-only, so no
+        caller can change it under another.
         """
-        if key not in self._cache:
-            self._cache[key] = _read_only(build(self))
-        return self._cache[key]
+        with self._lock:
+            if key not in self._cache:
+                self._cache[key] = _read_only(build(self))
+            return self._cache[key]
 
     def scatter_add(self, values: np.ndarray) -> np.ndarray:
         """Nodal vector whose entry i sums the (T, 3) ``values`` at the places

@@ -20,7 +20,6 @@ import numpy as np
 from . import assembly
 from .forward import (
     RegularizedForwardOperator,
-    _factorize,
     mean_zero_projection,
     riesz_dual_norm,
     solve_neumann_mean_zero,
@@ -29,12 +28,12 @@ from .mesh import Mesh
 
 
 def _worker_count(entries: int) -> int:
-    """The CPUs this process may run on, at most one per entry and at least one."""
+    """The CPUs this process may run on, at most one per entry."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, entries))
+    return min(cpus, entries)
 
 
 @dataclass
@@ -65,12 +64,14 @@ class ContingentProbe:
     A_bar: np.ndarray
     P: np.ndarray
     dA: np.ndarray
-    schedule: tuple  # of ScheduleEntry
+    schedule: tuple  # nonempty, of ScheduleEntry
     dA2: np.ndarray = None
     coercive: bool = False
     records: list = field(default_factory=list, init=False)
 
     def __post_init__(self):
+        if len(self.schedule) == 0:
+            raise ValueError("schedule must be nonempty")
         mesh = self.mesh
         if self.dA2 is None:
             self.dA2 = self.dA
@@ -95,18 +96,13 @@ class ContingentProbe:
         """One ``ProbeRecord`` per schedule entry, in schedule order.
 
         The entries are independent regularized problems, so ``_record``
-        runs them on a thread pool of ``max(1, min(cpus, len(schedule)))``
-        workers, ``cpus`` the CPUs this process may run on
-        (``os.sched_getaffinity``, else ``os.cpu_count()``). Each entry does
-        the same arithmetic on any worker, so the records do not depend on
-        the worker count. W's Riesz-map factor, which every entry's
-        residuals read, is built before the workers start. If an entry
-        raises, ``run`` raises its error and ``records`` stays empty.
+        runs them on a thread pool of ``min(cpus, len(schedule))`` workers,
+        ``cpus`` the CPUs this process may run on (``os.sched_getaffinity``,
+        else ``os.cpu_count()``). Each entry does the same arithmetic on any
+        worker, so the records do not depend on the worker count. If an
+        entry raises, ``run`` raises its error and ``records`` stays empty.
         """
         self.records = []
-        # the factor is cached on the mesh on first use; building it here
-        # keeps two workers from factorizing W at once
-        self.mesh.cached("s_factor", lambda m: _factorize(assembly.shared_s_matrix(m)))
         with ThreadPoolExecutor(_worker_count(len(self.schedule))) as pool:
             self.records = list(pool.map(self._record, range(len(self.schedule)),
                                          self.schedule))

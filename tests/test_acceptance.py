@@ -264,19 +264,21 @@ def test_criterion_09_optimality_residuals():
 
 
 def test_criterion_10_determinism_across_thread_counts(tmp_path):
-    outs = []
-    for threads, tag in (("1", "a"), ("4", "b"), ("1", "c")):
-        out = tmp_path / tag
-        env = dict(os.environ, OMP_NUM_THREADS=threads,
-                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        r = subprocess.run(
-            [sys.executable, "-m", "ellreg.cli", "table1", "--n", "8",
-             "--seed", "5", "--out", str(out)],
-            env=env, capture_output=True, text=True)
-        assert r.returncode == 0, r.stderr
-        outs.append((out / "table1.csv").read_bytes()
-                    + (out / "table1.csv.full.csv").read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    # the noise-free table and a seeded noise draw
+    for name, argv in (("table1", ["--n", "8"]),
+                       ("table3", ["--n", "8", "--delta", "1e-2", "--seed", "5"])):
+        outs = []
+        for threads, tag in (("1", "a"), ("4", "b"), ("1", "c")):
+            out = tmp_path / f"{name}{tag}"
+            env = dict(os.environ, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            r = subprocess.run(
+                [sys.executable, "-m", "ellreg.cli", name, *argv, "--out", str(out)],
+                env=env, capture_output=True, text=True)
+            assert r.returncode == 0, r.stderr
+            outs.append((out / f"{name}.csv").read_bytes()
+                        + (out / f"{name}.csv.full.csv").read_bytes())
+        assert outs[0] == outs[1] == outs[2], name
     if hasattr(os, "sched_setaffinity"):
         # the probe's worker count follows the CPUs the process may use:
         # one when pinned to a single CPU, one per CPU otherwise

@@ -103,10 +103,10 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
 
 # the value flags each subcommand's handler reads; each also takes --config
 _READS = {
-    "table1": {"n", "kappa", "eps", "seed", "out"},
-    "table2": {"n", "kappa", "eps", "seed", "out"},
+    "table1": {"n", "kappa", "eps", "out"},
+    "table2": {"n", "kappa", "eps", "out"},
     "table3": {"n", "kappa", "eps", "delta", "seed", "objective", "out"},
-    "failure": {"n", "kappa", "eps", "seed", "objective"},
+    "failure": {"n", "kappa", "eps", "objective"},
     "probe": {"n", "seed", "out"},
     "check-gradients": {"n", "eps", "seed"},
 }
@@ -132,30 +132,27 @@ def test_help_exits_0(capsys):
     assert "--objective" in capsys.readouterr().out
 
 
-def test_probe_fcd_writes_csv(tmp_path, monkeypatch, capsys):
+def test_probe_writes_csv(tmp_path, monkeypatch, capsys):
     builds = _count_mesh_builds(monkeypatch)
     rc = main(["probe", "--n", "6", "--out", str(tmp_path)])
     assert rc == 0
     assert builds == [6]  # the probe runs on the manufactured problem's mesh
     lines = (tmp_path / "probe.csv").read_text().splitlines()
-    assert lines[0].split(",")[:4] == ["n", "eps", "tau", "residual_fcd"]
+    assert lines[0].split(",")[:5] == ["n", "eps", "tau", "residual_fcd", "residual_scd"]
     assert len(lines) == 9  # header + default 8 schedule entries
-    assert capsys.readouterr().out.count("residual_fcd=") == 8
-
-
-def test_probe_scd_writes_csv(tmp_path, capsys):
-    rc = main(["probe", "--n", "6", "--out", str(tmp_path)])
-    assert rc == 0
-    lines = (tmp_path / "probe.csv").read_text().splitlines()
-    assert lines[0].split(",")[4] == "residual_scd"
     assert all(float(line.split(",")[4]) >= 0.0 for line in lines[1:])
-    assert capsys.readouterr().out.count("residual_scd=") == 8
+    out = capsys.readouterr().out
+    assert out.count("residual_fcd=") == 8 and out.count("residual_scd=") == 8
 
 
 def test_removed_commands_exit_1(tmp_path, capsys):
-    # the probe writes both residuals, and table2 is the MOLS table
-    for argv in (["probe-fcd"], ["probe-scd"], ["table1", "--objective", "mols"]):
-        assert main([*argv, "--n", "4", "--out", str(tmp_path)]) == 1
+    # the probe writes both residuals, table2 is the MOLS table, and the
+    # noise-free tables and the failure demo draw no noise, so take no seed
+    out = ["--out", str(tmp_path)]
+    for argv in (["probe-fcd", *out], ["probe-scd", *out],
+                 ["table1", "--objective", "mols", *out], ["table1", "--seed", "3", *out],
+                 ["table2", "--seed", "3", *out], ["failure", "--seed", "3"]):
+        assert main([*argv, "--n", "4"]) == 1
         assert "error:" in capsys.readouterr().err
 
 
@@ -178,10 +175,12 @@ def test_check_gradients_mismatch_exits_1(capsys, monkeypatch):
 
 
 def test_cli_outputs_byte_identical(tmp_path):
+    # a seeded noise draw; the noise-free table1 is pinned by tests/golden
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     for out in (out1, out2):
-        assert main(["table1", "--n", "8", "--seed", "3", "--out", str(out)]) == 0
-    assert ((out1 / "table1.csv").read_bytes()
-            == (out2 / "table1.csv").read_bytes())
-    assert ((out1 / "table1.csv.full.csv").read_bytes()
-            == (out2 / "table1.csv.full.csv").read_bytes())
+        assert main(["table3", "--n", "8", "--delta", "1e-2", "--seed", "3",
+                     "--out", str(out)]) == 0
+    assert ((out1 / "table3.csv").read_bytes()
+            == (out2 / "table3.csv").read_bytes())
+    assert ((out1 / "table3.csv.full.csv").read_bytes()
+            == (out2 / "table3.csv.full.csv").read_bytes())

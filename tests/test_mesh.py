@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -113,3 +116,29 @@ def test_mesh_compares_and_hashes_by_identity():
     assert m == m
     assert m != build_unit_square(2)
     assert {m: 0}[m] == 0
+
+
+def test_cached_builds_once_under_threads():
+    mesh = build_unit_square(2)
+    calls = []
+
+    def slow_builder(m):
+        calls.append(m)
+        time.sleep(0.05)
+        return np.arange(3.0)
+
+    start = threading.Barrier(4)
+    got = []
+
+    def ask():
+        start.wait(timeout=10)
+        got.append(mesh.cached("k", slow_builder))
+
+    workers = [threading.Thread(target=ask) for _ in range(4)]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert calls == [mesh]
+    assert len(got) == 4 and all(v is got[0] for v in got)

@@ -19,7 +19,7 @@ from ellreg.forward import (
     solve_neumann_mean_zero,
 )
 from ellreg.noise import perturb_functional
-from ellreg.setvalued import ContingentProbe
+from ellreg.setvalued import ContingentProbe, _worker_count
 
 
 @pytest.fixture(scope="module")
@@ -266,9 +266,21 @@ def test_singular_entry_fails_the_run_and_leaves_no_records():
 
 def test_run_leaves_no_worker_thread():
     prob = ManufacturedProblem.build(4)
+    dA = np.ones(prob.mesh.node_count)
+    with pytest.raises(ValueError, match="schedule must be nonempty"):
+        ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P, dA=dA, schedule=())
     threads = threading.active_count()
-    for sched in ((), default_schedule(n_entries=3)):
-        p = ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P,
-                            dA=np.ones(prob.mesh.node_count), schedule=sched)
-        assert len(p.run()) == len(sched)
-        assert threading.active_count() == threads
+    sched = default_schedule(n_entries=3)
+    p = ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P, dA=dA, schedule=sched)
+    assert len(p.run()) == len(sched)
+    assert threading.active_count() == threads
+
+
+def test_worker_count_without_affinity(monkeypatch):
+    # where os.sched_getaffinity is missing, os.cpu_count() bounds the pool
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _worker_count(8) == 3
+    assert _worker_count(2) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count(8) == 1
