@@ -132,17 +132,26 @@ def test_help_exits_0(capsys):
     assert "--objective" in capsys.readouterr().out
 
 
-def test_probe_writes_csv(tmp_path, monkeypatch, capsys):
-    builds = _count_mesh_builds(monkeypatch)
-    rc = main(["probe", "--n", "6", "--out", str(tmp_path)])
-    assert rc == 0
-    assert builds == [6]  # the probe runs on the manufactured problem's mesh
+def _probe_lines(tmp_path, capsys):
+    assert main(["probe", "--n", "6", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "probe.csv").read_text().splitlines()
     assert lines[0].split(",")[:5] == ["n", "eps", "tau", "residual_fcd", "residual_scd"]
     assert len(lines) == 9  # header + default 8 schedule entries
-    assert all(float(line.split(",")[4]) >= 0.0 for line in lines[1:])
-    out = capsys.readouterr().out
-    assert out.count("residual_fcd=") == 8 and out.count("residual_scd=") == 8
+    return lines[1:], capsys.readouterr().out
+
+
+def test_probe_fcd_writes_csv(tmp_path, monkeypatch, capsys):
+    builds = _count_mesh_builds(monkeypatch)
+    rows, out = _probe_lines(tmp_path, capsys)
+    assert builds == [6]  # the probe runs on the manufactured problem's mesh
+    assert all(float(row.split(",")[3]) >= 0.0 for row in rows)
+    assert out.count("residual_fcd=") == 8
+
+
+def test_probe_scd_writes_csv(tmp_path, capsys):
+    rows, out = _probe_lines(tmp_path, capsys)
+    assert all(float(row.split(",")[4]) >= 0.0 for row in rows)
+    assert out.count("residual_scd=") == 8
 
 
 def test_removed_commands_exit_1(tmp_path, capsys):
