@@ -1,6 +1,9 @@
-"""Regularized forward, sensitivity and adjoint solves.
+"""The regularized forward operator and the pure-Neumann reference solve.
 
-The forward operator is [K_tau(A) + eps*W]. A coercive reference problem
+The forward operator is [K_tau(A) + eps*W]. Its factorized handle solves
+any equation with this system; the state, sensitivity and adjoint
+equations differ only in their right-hand sides, which their callers form
+(``objectives``, ``setvalued``). A coercive reference problem
 K(A) + c0*W with its own regularization eps is this operator at eps + c0.
 For eps = 0 on the pure-Neumann problem the system is singular; the solve
 reports a structured error carrying a condition estimate instead of
@@ -153,25 +156,6 @@ class RegularizedForwardOperator:
     def L(self, V: np.ndarray) -> sp.csr_matrix:
         """The tensor L(V) at this operator's tau: L(V) @ dA = K_tau(dA) @ V."""
         return assembly.assemble_L(self.mesh, V, self.tau)
-
-    def solve_sensitivity(self, V: np.ndarray, K_dA: sp.csr_matrix) -> np.ndarray:
-        """First-order sensitivity: [K_tau(A)+eps*W] dV = -K_tau(dA) V.
-
-        ``K_dA`` is the direction operator K_tau(dA), at this operator's tau.
-        """
-        return self.solve(-(K_dA @ V))
-
-    def solve_second_sensitivity(self, K_dA: sp.csr_matrix, dV: np.ndarray) -> np.ndarray:
-        """Second-order sensitivity along dA twice: [K_tau(A)+eps*W] d2V = -2 K_tau(dA) dV.
-
-        ``K_dA`` is the direction operator K_tau(dA), at this operator's tau,
-        and ``dV`` the first-order sensitivity along dA.
-        """
-        return self.solve(-2.0 * (K_dA @ dV))
-
-    def solve_adjoint(self, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """Adjoint state: [K_tau(A)+eps*W] w = M (Z - V)."""
-        return self.solve(self.M @ (np.asarray(Z, dtype=float) - np.asarray(V, dtype=float)))
 
 
 def riesz_dual_norm(mesh: Mesh, r: np.ndarray) -> float:

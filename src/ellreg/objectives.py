@@ -38,10 +38,15 @@ def ols_value(op: RegularizedForwardOperator, V: np.ndarray, Z: np.ndarray) -> f
     return 0.5 * float(d @ (op.M @ d))
 
 
+def ols_adjoint_state(op: RegularizedForwardOperator, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Adjoint state w of the misfit: [K_tau(A)+eps*W] w = M (Z - V)."""
+    return op.solve(op.M @ (np.asarray(Z, dtype=float) - np.asarray(V, dtype=float)))
+
+
 def ols_gradient_adjoint(LV: sp.csr_matrix, W_adj: np.ndarray) -> np.ndarray:
     """Adjoint route: L(V)^T w = T_tau(psi_k, V, w); no regularizer term.
 
-    ``LV`` is ``op.L(V)`` and ``W_adj`` the adjoint state ``op.solve_adjoint(V, Z)``.
+    ``LV`` is ``op.L(V)`` and ``W_adj`` the adjoint state ``ols_adjoint_state(op, V, Z)``.
     """
     return LV.T @ W_adj
 

@@ -146,7 +146,7 @@ class _EntryObjective:
         LV = op.L(V)
         kappa = self.entry.kappa
         if self.objective == "ols":
-            w_adj = op.solve_adjoint(V, self.Z)
+            w_adj = obj.ols_adjoint_state(op, V, self.Z)
             grad = obj.ols_gradient_adjoint(LV, w_adj) + kappa * reg_grad
             Lw = None
 

@@ -117,15 +117,17 @@ class ContingentProbe:
         )
         K1 = assembly.perturb(self.K_dA, self.M_dA, entry.tau)
         V = op.solve(self.P)
-        dV1 = op.solve_sensitivity(V, K1)
+        # sensitivity equations in the operator's system G, K1 = K_tau(dA):
+        # G dV = -K1 V, and G d2V = -2 K1 dV along dA twice
+        dV1 = op.solve(-(K1 @ V))
         if self.dA2 is self.dA:
             dV_tilde = dV1
         else:
-            dV_tilde = op.solve_sensitivity(
-                V, assembly.perturb(self.K_dA2, self.M_dA2, entry.tau))
+            K2 = assembly.perturb(self.K_dA2, self.M_dA2, entry.tau)
+            dV_tilde = op.solve(-(K2 @ V))
         # second-order expansion of u_eps along a(t) = A_bar + t*dA + t^2/2*dA2:
         # the pure second derivative in (dA, dA) plus the first derivative in dA2
-        d2V = op.solve_second_sensitivity(K1, dV1) + dV_tilde
+        d2V = op.solve(-2.0 * (K1 @ dV1)) + dV_tilde
         return ProbeRecord(
             n=n, eps=entry.eps, tau=entry.tau,
             residual_fcd=self.fcd_residual(dV1),

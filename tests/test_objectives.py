@@ -41,7 +41,7 @@ def _fd_gradient(prob, A, eps, tau, value_fn, h=1e-6):
 def test_ols_gradient_routes_and_fd(setup):
     prob, A, op, V = setup
     g_dir = oracles.ols_gradient_direct(op, V, prob.Z)
-    w = op.solve_adjoint(V, prob.Z)
+    w = obj.ols_adjoint_state(op, V, prob.Z)
     g_adj = obj.ols_gradient_adjoint(op.L(V), w)
     assert np.linalg.norm(g_dir - g_adj) <= 1e-12 * np.linalg.norm(g_dir)
     g_fd = _fd_gradient(prob, A, op.eps, op.tau,
@@ -59,7 +59,7 @@ def test_mols_gradient_fd(setup):
 
 def test_ols_hessian_action_vs_dense(setup):
     prob, A, op, V = setup
-    w = op.solve_adjoint(V, prob.Z)
+    w = obj.ols_adjoint_state(op, V, prob.Z)
     H = oracles.ols_hessian_dense(op, V, prob.Z)
     assert np.allclose(H, H.T, atol=1e-12)
     rng = np.random.Generator(np.random.Philox(key=21))
@@ -140,7 +140,7 @@ def test_gradient_with_regularizer_term(setup):
     # the objective's state solves the data-steered load
     Z, P = problem.entry_data(entry)
     V = op.solve(P)
-    g_plain = obj.ols_gradient_adjoint(op.L(V), op.solve_adjoint(V, Z))
+    g_plain = obj.ols_gradient_adjoint(op.L(V), obj.ols_adjoint_state(op, V, Z))
     W = assembly.assemble_s_matrix(prob.mesh)
     assert np.allclose(g, g_plain + kappa * (W @ A), atol=1e-13)
 
@@ -169,6 +169,20 @@ def test_mols_preconditioner_is_weighted_mass_diagonal():
     expected = Mw.diagonal() + kappa * assembly.assemble_s_matrix(mesh).diagonal()
     D = obj.mols_preconditioner(mesh, A, V, kappa)
     assert np.max(np.abs(D - expected)) <= 1e-14 * np.max(expected)
+
+
+def test_mols_preconditioner_falls_back_to_unit_diagonal():
+    # zero load gives V = 0, so at kappa = 0 the Jacobi diagonal vanishes
+    # and CG takes the unit diagonal instead
+    mesh = build_unit_square(4)
+    N = mesh.node_count
+    problem = IdentificationProblem(mesh=mesh, P_exact=np.zeros(N), Z_exact=np.zeros(N))
+    entry = ScheduleEntry(eps=1e-2, tau=0.0, nu=0.0, delta=0.0, kappa=0.0)
+    fun = _EntryObjective(problem, entry, "mols")
+    A = np.ones(N)
+    state = fun.evaluate(A)[1]
+    assert np.all(obj.mols_preconditioner(mesh, A, state[1], entry.kappa) == 0.0)
+    assert np.array_equal(fun.derivatives(state)[2], np.ones(N))
 
 
 def test_vi_residual_nonnegative_at_minimizer():

@@ -112,8 +112,8 @@ def test_ols_vi_residual_at_minimizer():
     Z, P = problem.entry_data(entry)
     op = problem.operator(res.A, entry)
     V = op.solve(P)
-    r = oracles.ols_optimality_residual(op, V, op.solve_adjoint(V, Z), res.A, entry.kappa,
-                                        problem.c1, problem.c2)
+    r = oracles.ols_optimality_residual(op, V, obj.ols_adjoint_state(op, V, Z), res.A,
+                                        entry.kappa, problem.c1, problem.c2)
     assert r >= -1e-6
 
 
