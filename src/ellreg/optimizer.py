@@ -11,7 +11,7 @@ projection arc from the full step. CG is Jacobi-preconditioned: MOLS with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,28 +40,43 @@ class EntryLogRow:
     trials: int = 0  # line-search trials, including those skipped as repeats
 
 
-@dataclass
-class ReconstructionResult:
-    """Outcome of ``minimize``.
+@dataclass(frozen=True, eq=False)
+class EntryResult:
+    """One schedule entry's minimization: its final iterate ``A`` (the next entry's
+    warm start), its ``log`` of ``EntryLogRow`` and how it stopped, ``termination``:
+    "grad_tol", "max_iters" or "linesearch_failure"."""
 
-    ``termination`` is how the last entry stopped: "grad_tol", "max_iters",
-    "linesearch_failure" or "singular_system". ``success`` is derived from
-    it, False only for "singular_system"; then ``error`` is the caught
-    ``SingularSystemError``, ``A``, ``V`` and ``operator`` are None, and
-    ``entry_logs`` and ``entry_solutions`` keep the entries completed before it.
+    A: np.ndarray
+    log: list
+    termination: str
+
+
+@dataclass(frozen=True, eq=False)
+class ReconstructionResult:
+    """Outcome of ``minimize``: an ``EntryResult`` per completed entry and the final state.
+
+    ``A`` and ``termination`` are the last entry's. After a singular system, ``error``
+    is the caught ``SingularSystemError``, ``entries`` keeps the entries completed
+    before it, ``A``, ``V`` and ``operator`` are None and ``termination`` reads
+    "singular_system"; ``success`` is False only then.
     """
 
-    A: Optional[np.ndarray] = None
+    entries: tuple
     V: Optional[np.ndarray] = None
-    termination: str = ""
+    operator: Optional[RegularizedForwardOperator] = None
     error: Optional[SingularSystemError] = None
-    operator: Optional[RegularizedForwardOperator] = None  # the final operator
-    entry_logs: list = field(default_factory=list)  # one list of EntryLogRow per entry
-    entry_solutions: list = field(default_factory=list)  # A* after each entry
+
+    @property
+    def A(self) -> Optional[np.ndarray]:
+        return None if self.error is not None else self.entries[-1].A
+
+    @property
+    def termination(self) -> str:
+        return "singular_system" if self.error is not None else self.entries[-1].termination
 
     @property
     def success(self) -> bool:
-        return self.termination != "singular_system"
+        return self.error is None
 
     @property
     def failure_reason(self) -> str:
@@ -74,7 +89,11 @@ class ReconstructionResult:
 
     @property
     def iterations(self) -> int:
-        return sum(len(log) for log in self.entry_logs)
+        return sum(len(e.log) for e in self.entries)
+
+    @property
+    def entry_logs(self) -> list:  # for readers that predate ``entries``
+        return [e.log for e in self.entries]
 
 
 @dataclass
@@ -258,7 +277,7 @@ def _minimize_entry(fun: _EntryObjective, A0, c1, c2):
             break
         A, value, state = A_try, v_try, s_try
         grad, hess, diag = fun.derivatives(state)
-    return A, state, log, termination
+    return EntryResult(A, log, termination), state
 
 
 def minimize(problem: IdentificationProblem, schedule: tuple, objective: str,
@@ -271,20 +290,17 @@ def minimize(problem: IdentificationProblem, schedule: tuple, objective: str,
         raise ValueError(f"objective must be 'ols' or 'mols', got {objective!r}")
     if len(schedule) == 0:
         raise ValueError("schedule must be nonempty")
-    result = ReconstructionResult()
+    if np.isnan(np.asarray(A0, dtype=float)).any():
+        raise ValueError("A0 has a NaN entry, which the box projection would keep")
+    entries = []
     A = A0
     for entry in schedule:
         fun = _EntryObjective(problem, entry, objective)
         try:
-            A, state, log, termination = _minimize_entry(fun, A, problem.c1, problem.c2)
+            record, state = _minimize_entry(fun, A, problem.c1, problem.c2)
         except SingularSystemError as err:
-            result.error = err
-            result.termination = "singular_system"
-            return result
-        result.entry_logs.append(log)
-        result.entry_solutions.append(A.copy())
-        result.termination = termination
-    result.A = A
-    _, result.V, result.operator, _ = state
-    return result
-
+            return ReconstructionResult(tuple(entries), error=err)
+        entries.append(record)
+        A = record.A
+    _, V, operator, _ = state
+    return ReconstructionResult(tuple(entries), V, operator)

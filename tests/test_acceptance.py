@@ -245,7 +245,7 @@ def test_criterion_09_optimality_residuals():
         res = minimize(problem, sched, objective, np.full(prob.mesh.node_count, 5.05))
         assert res.success
         violations = []
-        for entry, A_star in zip(sched, res.entry_solutions):
+        for entry, A_star in zip(sched, (e.A for e in res.entries)):
             Z, P = problem.entry_data(entry)
             op = problem.operator(A_star, entry)
             V = op.solve(P)

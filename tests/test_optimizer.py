@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -51,7 +53,7 @@ def test_reconstruction_recovers_unit_coefficient(objective):
         assert np.abs(res.A - 1.0).mean() < 0.1
     assert res.termination in ("grad_tol", "max_iters")
     assert res.iterations > 0
-    assert len(res.entry_logs) == 1 and len(res.entry_solutions) == 1
+    assert len(res.entries) == 1
 
 
 def test_iterates_stay_in_box():
@@ -66,9 +68,24 @@ def test_schedule_warm_start_improves():
     sched = default_schedule(n_entries=4, eps0=1e-2)
     res = minimize(problem, sched, "ols", np.full(prob.mesh.node_count, 5.05))
     assert res.success
-    errs = [np.abs(a - 1.0).mean() for a in res.entry_solutions]
+    errs = [np.abs(e.A - 1.0).mean() for e in res.entries]
     assert errs[-1] <= errs[0] + 1e-12
-    assert len(res.entry_solutions) == len(res.entry_logs) == 4
+    assert len(res.entries) == 4
+
+
+def test_each_entry_keeps_its_own_termination(monkeypatch):
+    # the first entry runs out of iterations, the second converges from its end
+    monkeypatch.setattr(optimizer, "MAX_ITERS", 5)
+    prob, problem = _problem(6)
+    sched = default_schedule(n_entries=2, eps0=1e-2)
+    res = minimize(problem, sched, "mols", np.full(prob.mesh.node_count, 5.05))
+    assert [e.termination for e in res.entries] == ["max_iters", "grad_tol"]
+    assert len(res.entries[0].log) == 5
+    assert res.termination == "grad_tol" and res.success
+    assert res.A is res.entries[-1].A
+    assert res.iterations == sum(len(e.log) for e in res.entries)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.V = None
 
 
 def test_eps_zero_entry_gives_structured_failure():
@@ -87,13 +104,17 @@ def test_eps_zero_entry_gives_structured_failure():
     sched = (_entry(eps=1e-2), _entry(eps=0.0))
     res = minimize(problem, sched, "mols", np.full(prob.mesh.node_count, 5.05))
     assert not res.success and res.termination == "singular_system"
-    assert len(res.entry_logs) == len(res.entry_solutions) == 1
+    assert len(res.entries) == 1
 
 
 def test_empty_schedule_rejected():
     prob, problem = _problem(4)
-    with pytest.raises(ValueError):
-        minimize(problem, (), "ols", np.ones(prob.mesh.node_count))
+    A_nan = np.ones(prob.mesh.node_count)
+    A_nan[3] = np.nan  # the box projection keeps NaN, so SuperLU would meet it
+    cases = (((), np.ones(prob.mesh.node_count), "schedule"), ((_entry(),), A_nan, "A0"))
+    for schedule, A0, match in cases:
+        with pytest.raises(ValueError, match=match):
+            minimize(problem, schedule, "ols", A0)
 
 
 def test_objective_validated_before_schedule():
@@ -243,13 +264,13 @@ def test_cg_returns_truncated_direction_after_three_shifts(monkeypatch):
     fun = _Quadratic(g, lam)
     A0 = np.zeros(5)
     monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
-    A, _, log, termination = optimizer._minimize_entry(fun, A0, -10.0, 10.0)
+    rec, _ = optimizer._minimize_entry(fun, A0, -10.0, 10.0)
     # _minimize_entry keeps the returned descent direction (no fallback to
     # -grad) and its full step passes the Armijo test
-    assert log[0].cg_iters == 6 and log[0].trials == 1
-    assert np.array_equal(A, A0 + p)
-    assert fun.evaluate(A)[0] < fun.evaluate(A0)[0]
-    assert termination == "max_iters"
+    assert rec.log[0].cg_iters == 6 and rec.log[0].trials == 1
+    assert np.array_equal(rec.A, A0 + p)
+    assert fun.evaluate(rec.A)[0] < fun.evaluate(A0)[0]
+    assert rec.termination == "max_iters"
 
 
 def test_cg_shift_adds_curvature_of_shifted_operator():
@@ -279,23 +300,23 @@ def test_ascent_direction_falls_back_to_steepest_descent(monkeypatch):
     fun = _Quadratic(g, np.arange(1.0, 6.0))
     monkeypatch.setattr(optimizer, "_cg", lambda hess, grad, diag: (grad.copy(), 1))
     monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
-    A, _, log, termination = optimizer._minimize_entry(fun, np.zeros(5), -10.0, 10.0)
+    rec, _ = optimizer._minimize_entry(fun, np.zeros(5), -10.0, 10.0)
     # +grad is an ascent direction, so the step runs along -grad: the full
     # step -g overshoots (value 2.5 > 0) and the half step is accepted
     assert [list(a) for a in fun.evaluated] == [[0.0] * 5, [-1.0] * 5, [-0.5] * 5]
-    assert np.array_equal(A, -0.5 * g)
-    assert log[0].trials == 2
-    assert termination == "max_iters"
+    assert np.array_equal(rec.A, -0.5 * g)
+    assert rec.log[0].trials == 2
+    assert rec.termination == "max_iters"
 
 
 def test_singular_trial_is_rejected_and_step_backtracks(monkeypatch):
     g = np.ones(5)
     fun = _Quadratic(g, np.ones(5), singular_above=0.75)
     monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
-    A, _, log, termination = optimizer._minimize_entry(fun, np.zeros(5), -10.0, 10.0)
+    rec, _ = optimizer._minimize_entry(fun, np.zeros(5), -10.0, 10.0)
     # the Newton step -g lands on a singular system: that trial counts as
     # rejected, t halves and the shorter step -g/2 is accepted
     assert [list(a) for a in fun.evaluated] == [[0.0] * 5, [-1.0] * 5, [-0.5] * 5]
-    assert np.array_equal(A, -0.5 * g)
-    assert log[0].trials == 2
-    assert termination == "max_iters"
+    assert np.array_equal(rec.A, -0.5 * g)
+    assert rec.log[0].trials == 2
+    assert rec.termination == "max_iters"
