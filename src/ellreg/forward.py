@@ -169,12 +169,6 @@ def riesz_dual_norm(mesh: Mesh, r: np.ndarray) -> float:
     return float(np.sqrt(max(r @ q, 0.0)))
 
 
-def mean_zero_projection(v: np.ndarray) -> np.ndarray:
-    """Project onto the complement of constants (zero-mean nodal vector)."""
-    v = np.asarray(v, dtype=float)
-    return v - v.mean()
-
-
 def solve_neumann_mean_zero(mesh: Mesh, K: sp.csr_matrix, P: np.ndarray) -> np.ndarray:
     """Unregularized pure-Neumann solve K u = P with the mean-zero constraint c.u = 0,
     K = K(A) the assembled stiffness matrix.

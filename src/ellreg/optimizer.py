@@ -43,11 +43,11 @@ class EntryLogRow:
 @dataclass(frozen=True, eq=False)
 class EntryResult:
     """One schedule entry's minimization: its final iterate ``A`` (the next entry's
-    warm start), its ``log`` of ``EntryLogRow`` and how it stopped, ``termination``:
-    "grad_tol", "max_iters" or "linesearch_failure"."""
+    warm start), its ``log``, a tuple of ``EntryLogRow``, and how it stopped,
+    ``termination``: "grad_tol", "max_iters" or "linesearch_failure"."""
 
     A: np.ndarray
-    log: list
+    log: tuple
     termination: str
 
 
@@ -277,7 +277,7 @@ def _minimize_entry(fun: _EntryObjective, A0, c1, c2):
             break
         A, value, state = A_try, v_try, s_try
         grad, hess, diag = fun.derivatives(state)
-    return EntryResult(A, log, termination), state
+    return EntryResult(A, tuple(log), termination), state
 
 
 def minimize(problem: IdentificationProblem, schedule: tuple, objective: str,

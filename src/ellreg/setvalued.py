@@ -4,8 +4,11 @@ parameter-to-solution map.
 No cones or graphs are computed. The regularized single-valued map is driven
 along a schedule eps -> 0 and the residuals of the first- and second-order
 variational characterizations are measured in the discrete dual norm
-(W-Riesz map), after projecting onto the mean-zero complement where the
-unregularized operator annihilates constants.
+(W-Riesz map) as they are. No projection onto the mean-zero complement is
+needed: K(A)*1 = 0 for every coefficient and each stiffness matrix is
+symmetric, so every term of a pure-Neumann residual already annihilates
+constants. The coercive surrogate K(A) + W has no constant kernel, and its
+residual is measured whole.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import numpy as np
 from . import assembly
 from .forward import (
     RegularizedForwardOperator,
-    mean_zero_projection,
     riesz_dual_norm,
     solve_neumann_mean_zero,
 )
@@ -139,20 +141,19 @@ class ContingentProbe:
     def _energy_norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(max(v @ (self.W @ v), 0.0)))
 
-    def _dual_residual(self, r: np.ndarray) -> float:
-        return riesz_dual_norm(self.mesh, mean_zero_projection(r))
-
     def fcd_residual(self, dV: np.ndarray) -> float:
-        """Dual-norm residual K_bar dV + K(dA) u_bar of the first-order characterization."""
+        """W^-1 dual norm of the first-order residual K_bar dV + K(dA) u_bar as it is;
+        with K_bar*1 = K(dA)*1 = 0 (pure Neumann) it annihilates constants."""
         r = self.K_bar @ dV + self.K_dA @ self.u_bar
-        return self._dual_residual(r)
+        return riesz_dual_norm(self.mesh, r)
 
     def scd_residual(self, dV: np.ndarray, d2V: np.ndarray) -> float:
-        """Dual-norm residual K_bar d2V + 2 K(dA) dV + K(dA2) u_bar of the second-order form."""
+        """W^-1 dual norm of the second-order residual K_bar d2V + 2 K(dA) dV
+        + K(dA2) u_bar as it is, for the same reason as ``fcd_residual``'s."""
         r = (self.K_bar @ d2V
              + 2.0 * (self.K_dA @ dV)
              + self.K_dA2 @ self.u_bar)
-        return self._dual_residual(r)
+        return riesz_dual_norm(self.mesh, r)
 
     def boundedness_report(self) -> dict:
         """Sup of sensitivity norms plus the fitted state-gap rate in eps, after ``run``."""

@@ -49,6 +49,17 @@ def test_run_cell_produces_small_errors():
     assert wall > 0
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the full-space Newton step clipped to the box stops these "
+    "MOLS cells on linesearch_failure (after 8, 10 and 20 rows) while success "
+    "reads True; the reduced step on the free set reaches grad_tol, and the "
+    "change that lands it removes this marker"))
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_small_mols_cells_reach_grad_tol(n):
+    res, _, _ = exp.run_cell(exp.ExperimentConfig(objective="mols"), n)
+    assert res.termination == "grad_tol"
+
+
 def test_run_table_mesh_refinement(tmp_path):
     cfg = exp.ExperimentConfig(mesh_sizes=(8, 12))
     rows = exp.run_table(cfg)
