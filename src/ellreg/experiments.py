@@ -37,7 +37,7 @@ def a_exact(x, y):
     return np.ones_like(np.asarray(x, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ManufacturedProblem:
     """Mesh-level realization of the manufactured Neumann problem."""
 

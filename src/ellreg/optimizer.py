@@ -96,7 +96,7 @@ class ReconstructionResult:
         return [e.log for e in self.entries]
 
 
-@dataclass
+@dataclass(eq=False)
 class IdentificationProblem:
     """Data defining one reconstruction run (mesh, loads, data, constraints)."""
 

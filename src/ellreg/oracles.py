@@ -29,8 +29,12 @@ def ols_gradient_direct(op: RegularizedForwardOperator, V: np.ndarray, Z: np.nda
     """
     V = np.asarray(V, dtype=float)
     d = V - np.asarray(Z, dtype=float)
-    dV = -np.column_stack([op.solve(c) for c in _dense_L(op, V).T])
-    return dV.T @ (op.M @ d)
+    return -_solve_columns(op, _dense_L(op, V)).T @ (op.M @ d)
+
+
+def _solve_columns(op: RegularizedForwardOperator, X: np.ndarray) -> np.ndarray:
+    """G^-1 X, one solve per column of X."""
+    return np.column_stack([op.solve(c) for c in X.T])
 
 
 def _dense_L(op: RegularizedForwardOperator, U: np.ndarray) -> np.ndarray:
@@ -49,9 +53,8 @@ def ols_hessian_dense(op: RegularizedForwardOperator, V: np.ndarray, Z: np.ndarr
     d = np.asarray(V, dtype=float) - np.asarray(Z, dtype=float)
     LV = _dense_L(op, np.asarray(V, dtype=float))
     Q = op.solve(op.M @ d)
-    LQ = _dense_L(op, Q)
-    GiLV = np.column_stack([op.solve(c) for c in LV.T])
-    GiLQ = np.column_stack([op.solve(c) for c in LQ.T])
+    GiLV = _solve_columns(op, LV)
+    GiLQ = _solve_columns(op, _dense_L(op, Q))
     term1 = LV.T @ GiLQ
     term3 = GiLV.T @ (op.M @ GiLV)
     return term1 + term1.T + term3
@@ -60,8 +63,7 @@ def ols_hessian_dense(op: RegularizedForwardOperator, V: np.ndarray, Z: np.ndarr
 def mols_hessian_dense(op: RegularizedForwardOperator, V: np.ndarray) -> np.ndarray:
     """Dense L(V)^T G^-1 L(V)."""
     LV = _dense_L(op, np.asarray(V, dtype=float))
-    GiLV = np.column_stack([op.solve(c) for c in LV.T])
-    return LV.T @ GiLV
+    return LV.T @ _solve_columns(op, LV)
 
 
 def mols_optimality_residual(op: RegularizedForwardOperator, V: np.ndarray, Z: np.ndarray,

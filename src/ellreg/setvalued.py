@@ -49,7 +49,7 @@ class ProbeRecord:
     state_gap: float
 
 
-@dataclass
+@dataclass(eq=False)
 class ContingentProbe:
     """Drives the regularized map to its limit at a fixed base point.
 
@@ -111,7 +111,7 @@ class ContingentProbe:
         return self.records
 
     def _record(self, n: int, entry) -> ProbeRecord:
-        """Solve state and sensitivities dV, d2V at schedule entry ``n``; keep their residuals and norms."""
+        """Solve V, dV and d2V at schedule entry ``n``, one solve each; keep their residuals and norms."""
         # the coercive surrogate K + W regularized by eps is the operator at eps + 1
         op = RegularizedForwardOperator(
             self.mesh, self.A_bar, eps=entry.eps + float(self.coercive), tau=entry.tau,
@@ -119,17 +119,13 @@ class ContingentProbe:
         )
         K1 = assembly.perturb(self.K_dA, self.M_dA, entry.tau)
         V = op.solve(self.P)
-        # sensitivity equations in the operator's system G, K1 = K_tau(dA):
-        # G dV = -K1 V, and G d2V = -2 K1 dV along dA twice
-        dV1 = op.solve(-(K1 @ V))
-        if self.dA2 is self.dA:
-            dV_tilde = dV1
-        else:
-            K2 = assembly.perturb(self.K_dA2, self.M_dA2, entry.tau)
-            dV_tilde = op.solve(-(K2 @ V))
-        # second-order expansion of u_eps along a(t) = A_bar + t*dA + t^2/2*dA2:
-        # the pure second derivative in (dA, dA) plus the first derivative in dA2
-        d2V = op.solve(-2.0 * (K1 @ dV1)) + dV_tilde
+        # derivatives of V along a(t) = A_bar + t*dA + t^2/2*dA2 in the operator's system G,
+        # K1 = K_tau(dA), K2 = K_tau(dA2): G dV = -K1 V and G d2V = -(2 K1 dV + K2 V)
+        K1V = K1 @ V
+        K2V = K1V if self.dA2 is self.dA else (
+            assembly.perturb(self.K_dA2, self.M_dA2, entry.tau) @ V)
+        dV1 = op.solve(-K1V)
+        d2V = op.solve(-(2.0 * (K1 @ dV1) + K2V))
         return ProbeRecord(
             n=n, eps=entry.eps, tau=entry.tau,
             residual_fcd=self.fcd_residual(dV1),

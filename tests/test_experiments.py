@@ -6,6 +6,8 @@ from ellreg import forward
 from ellreg.cli import main
 from ellreg.forward import SingularSystemError
 from ellreg.mesh import build_unit_square
+from ellreg.optimizer import IdentificationProblem
+from ellreg.setvalued import ContingentProbe
 
 
 def test_manufactured_solution_consistency():
@@ -155,3 +157,18 @@ def test_run_cell_leaves_pivot_check_unread():
     assert "near_singular" not in result.operator.__dict__
     assert result.condition_estimate == result.operator.condition_estimate
     assert result.operator.near_singular is False
+
+
+def test_array_records_compare_by_identity():
+    # records that hold arrays hash and compare as objects, not field by field
+    prob, other = exp.ManufacturedProblem.build(4), exp.ManufacturedProblem.build(4)
+    assert prob == prob and prob != other
+    problems = [IdentificationProblem(mesh=p.mesh, P_exact=p.P, Z_exact=p.Z)
+                for p in (prob, other)]
+    assert problems[0] == problems[0] and problems[0] != problems[1]
+    probes = [ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P,
+                              dA=np.ones(prob.mesh.node_count),
+                              schedule=forward.default_schedule(n_entries=1))
+              for _ in range(2)]
+    assert probes[0] == probes[0] and probes[0] != probes[1]
+    assert len({prob, other, *problems, *probes}) == 6

@@ -18,7 +18,7 @@ from ellreg.forward import (
     solve_neumann_mean_zero,
 )
 from ellreg.noise import perturb_functional
-from ellreg.setvalued import ContingentProbe, _worker_count
+from ellreg.setvalued import ContingentProbe, ProbeRecord, _worker_count
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +60,9 @@ def test_scd_and_equivalent_form_agree(probe):
         entry = probe.schedule[n]
         op = RegularizedForwardOperator(mesh, probe.A_bar, eps=entry.eps, tau=entry.tau)
         K1 = assembly.assemble_perturbed_stiffness(mesh, probe.dA, entry.tau)
-        dV = op.solve(-(K1 @ op.solve(probe.P)))
-        d2V = op.solve(-2.0 * (K1 @ dV)) + dV
+        K1V = K1 @ op.solve(probe.P)
+        dV = op.solve(-K1V)
+        d2V = op.solve(-(2.0 * (K1 @ dV) + K1V))
         r = K_bar @ d2V + 2.0 * (probe.K_dA @ dV) - K_bar @ dV_tilde
         equivalent = riesz_dual_norm(mesh, r)
         assert abs(probe.scd_residual(dV, d2V) - equivalent) <= 1e-12
@@ -85,7 +86,7 @@ def test_plain_residuals_annihilate_constants():
                 K1 = assembly.assemble_perturbed_stiffness(mesh, p.dA, entry.tau)
                 K2 = assembly.assemble_perturbed_stiffness(mesh, p.dA2, entry.tau)
                 dV = op.solve(-(K1 @ V))
-                d2V = op.solve(-2.0 * (K1 @ dV)) + op.solve(-(K2 @ V))
+                d2V = op.solve(-(2.0 * (K1 @ dV) + K2 @ V))
                 fcd = p.K_bar @ dV + p.K_dA @ p.u_bar
                 scd = p.K_bar @ d2V + 2.0 * (p.K_dA @ dV) + p.K_dA2 @ p.u_bar
                 for r in (fcd, scd):
@@ -99,6 +100,21 @@ def test_sensitivity_norms_bounded(probe):
     assert np.isfinite(rep["sup_sens_norm"])
     assert not rep["flagged"]
     assert rep["state_gap_rate"] == pytest.approx(1.0, abs=0.2)
+
+
+def test_boundedness_report_flags_spike_and_skips_zero_gaps():
+    prob = ManufacturedProblem.build(4)
+    p = ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P,
+                        dA=np.ones(prob.mesh.node_count), schedule=default_schedule())
+    eps = [e.eps for e in p.schedule]
+    sens = [1.0] * (len(eps) - 1) + [11.0]  # one norm above ten times the median
+    p.records = [ProbeRecord(n=n, eps=e, tau=0.0, residual_fcd=0.0, residual_scd=0.0,
+                             sens_norm=s, state_gap=0.0)
+                 for n, (e, s) in enumerate(zip(eps, sens))]
+    rep = p.boundedness_report()
+    assert rep["sup_sens_norm"] == 11.0
+    assert rep["flagged"]
+    assert np.isnan(rep["state_gap_rate"])  # no positive gap to fit a rate to
 
 
 def test_state_gap_decreases(probe):
@@ -185,6 +201,26 @@ def test_fixed_operands_assembled_once(monkeypatch):
         assert calls == {"assemble_L": 0, "assemble_stiffness": operands,
                          "assemble_weighted_mass": operands,
                          "assemble_perturbed_stiffness": 0}
+
+
+def test_three_solves_per_entry(monkeypatch):
+    # the state V and its derivatives dV, d2V take one solve each, for every
+    # probe kind; the coercive probe adds its base solve
+    prob = ManufacturedProblem.build(6)
+    solves = []
+    solve = RegularizedForwardOperator.solve
+
+    def counted(self, rhs):
+        solves.append(1)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(RegularizedForwardOperator, "solve", counted)
+    sched = default_schedule(n_entries=4)
+    for dA, dA2, coercive in _cases(prob.mesh, 38):
+        solves.clear()
+        ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P, dA=dA, dA2=dA2,
+                        schedule=sched, coercive=coercive).run()
+        assert len(solves) == 3 * len(sched) + int(coercive)
 
 
 def _oracle_records(mesh, A_bar, P, dA, dA2, schedule, coercive):
