@@ -66,14 +66,14 @@ def assemble_weighted_mass(mesh: Mesh, A: np.ndarray) -> sp.csr_matrix:
 
 def assemble_perturbed_stiffness(mesh: Mesh, A: np.ndarray, tau: float) -> sp.csr_matrix:
     """K_tau(A) = K(A) + tau * (a-weighted mass)."""
-    if not 0.0 <= tau < np.inf:
-        raise ValueError("tau must be finite and nonnegative")
     K = assemble_stiffness(mesh, A)
-    return perturb(K, assemble_weighted_mass(mesh, A) if tau != 0.0 else None, tau)
+    return perturb(K, assemble_weighted_mass(mesh, A) if tau else None, tau)
 
 
 def perturb(K: sp.csr_matrix, M_a: sp.csr_matrix, tau: float) -> sp.csr_matrix:
-    """K_tau(a) = K(a) + tau*M_a, ``K`` itself at tau = 0: the one place the sum is formed."""
+    """K_tau(a) = K(a) + tau*M_a, ``K`` itself at tau = 0: the one place the sum is formed and tau checked."""
+    if not 0.0 <= tau < np.inf:  # False for NaN too
+        raise ValueError("tau must be finite and nonnegative")
     return K if tau == 0.0 else (K + tau * M_a).tocsr()
 
 
@@ -120,6 +120,8 @@ def assemble_L(mesh: Mesh, V: np.ndarray, tau: float = 0.0) -> sp.csr_matrix:
     pattern, and L(V).T @ U = T_tau(psi_., V, U) is symmetric in (V, U).
     The stiffness part is written with the differences V_j - V_i, as the
     element stiffness rows are, so L(constant) is exactly zero at tau = 0.
+    The mass part int a u v is symmetric in its three arguments, so the tau
+    part of L_tau(V) is the V-weighted mass matrix M_V, summed by ``perturb``.
     """
     Vt = _nodal(mesh, V)[mesh.triangles]
     gg = mesh.cached("grad_products", _grad_products)
@@ -130,9 +132,7 @@ def assemble_L(mesh: Mesh, V: np.ndarray, tau: float = 0.0) -> sp.csr_matrix:
         kv[:, i] = gg[:, i, j] * (Vt[:, j] - Vt[:, i]) + gg[:, i, k] * (Vt[:, k] - Vt[:, i])
     # the coefficient psi_k integrates to area/3 on each triangle holding node k
     elem = np.repeat((kv * (mesh.areas / 3.0)[:, None])[:, :, None], 3, axis=2)
-    if tau != 0.0:
-        elem += (tau / 60.0 * mesh.areas)[:, None, None] * np.einsum("kij,tj->tik", _C3, Vt)
-    return mesh.scatter_csr(elem)
+    return perturb(mesh.scatter_csr(elem), assemble_weighted_mass(mesh, V) if tau else None, tau)
 
 
 def apply_L(mesh: Mesh, V: np.ndarray, A: np.ndarray, tau: float = 0.0) -> np.ndarray:

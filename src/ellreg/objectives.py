@@ -7,7 +7,8 @@ the tests compare against, are in ``ellreg.oracles``.
 
 The adjoint-route gradients and the Hessian actions take the tensors
 L(.) assembled once per state (``RegularizedForwardOperator.L``), so a
-Hessian action is its solves plus sparse matrix-vector products.
+Hessian action is its solves plus sparse matrix-vector products. The OLS
+gradient is ``op.L(V).T @ w`` with w from ``ols_adjoint_state``.
 """
 
 from __future__ import annotations
@@ -41,14 +42,6 @@ def ols_value(op: RegularizedForwardOperator, V: np.ndarray, Z: np.ndarray) -> f
 def ols_adjoint_state(op: RegularizedForwardOperator, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Adjoint state w of the misfit: [K_tau(A)+eps*W] w = M (Z - V)."""
     return op.solve(op.M @ (np.asarray(Z, dtype=float) - np.asarray(V, dtype=float)))
-
-
-def ols_gradient_adjoint(LV: sp.csr_matrix, W_adj: np.ndarray) -> np.ndarray:
-    """Adjoint route: L(V)^T w = T_tau(psi_k, V, w); no regularizer term.
-
-    ``LV`` is ``op.L(V)`` and ``W_adj`` the adjoint state ``ols_adjoint_state(op, V, Z)``.
-    """
-    return LV.T @ W_adj
 
 
 def ols_hessian_action(op: RegularizedForwardOperator, LV: sp.csr_matrix, Lw: sp.csr_matrix,

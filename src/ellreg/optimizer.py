@@ -166,7 +166,7 @@ class _EntryObjective:
         kappa = self.entry.kappa
         if self.objective == "ols":
             w_adj = obj.ols_adjoint_state(op, V, self.Z)
-            grad = obj.ols_gradient_adjoint(LV, w_adj) + kappa * reg_grad
+            grad = LV.T @ w_adj + kappa * reg_grad
             Lw = None
 
             def hess(d):

@@ -130,12 +130,18 @@ def test_perturbed_stiffness_adds_weighted_mass():
     A = rng.uniform(0.5, 3.0, size=mesh.node_count)
     tau = 0.37
     Kt = assembly.assemble_perturbed_stiffness(mesh, A, tau).toarray()
-    K = assembly.assemble_stiffness(mesh, A).toarray()
-    MA = assembly.assemble_weighted_mass(mesh, A).toarray()
-    assert np.allclose(Kt, K + tau * MA, atol=1e-14)
+    K = assembly.assemble_stiffness(mesh, A)
+    MA = assembly.assemble_weighted_mass(mesh, A)
+    assert np.allclose(Kt, (K + tau * MA).toarray(), atol=1e-14)
+    # perturb holds the one tau check, so every entry point to K_tau and L_tau raises
     for bad in (-1e-3, np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            assembly.assemble_perturbed_stiffness(mesh, A, bad)
+        for call in (lambda: assembly.assemble_perturbed_stiffness(mesh, A, bad),
+                     lambda: assembly.assemble_L(mesh, A, bad),
+                     lambda: assembly.apply_L(mesh, A, A, bad),
+                     lambda: assembly.apply_Lt(mesh, A, A, bad),
+                     lambda: assembly.perturb(K, MA, bad)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                call()
 
 
 def test_s_matrix_is_h1_inner_product():

@@ -73,6 +73,18 @@ def test_schedule_warm_start_improves():
     assert len(res.entries) == 4
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4: success ignores the earlier entries, so this run reports "
+    "success and grad_tol while its first entry stops on linesearch_failure at "
+    "the noise floor; an honest success, or the stagnation rule, removes this marker"))
+def test_success_requires_every_entry_to_converge():
+    prob, problem = _problem(4)
+    sched = default_schedule(n_entries=4, eps0=1e-2)
+    res = minimize(problem, sched, "ols", np.full(prob.mesh.node_count, 5.05))
+    assert not res.success or all(e.termination in ("grad_tol", "stagnation")
+                                  for e in res.entries)
+
+
 def test_each_entry_keeps_its_own_termination(monkeypatch):
     # the first entry runs out of iterations, the second converges from its end
     monkeypatch.setattr(optimizer, "MAX_ITERS", 5)
