@@ -7,6 +7,15 @@ detection (OLS is not convex, so indefiniteness is handled by a diagonal
 shift rather than pretended away), and Armijo backtracking runs along the
 projection arc from the full step. CG is Jacobi-preconditioned: MOLS with
 ``objectives.mols_preconditioner``, OLS with the unit diagonal.
+
+Newton-CG is inexact (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996):
+step k solves H p = -g only to |r| <= eta_k*|g|, with the forcing term
+eta_k = max(CG_TOL, min(ETA_MAX, sqrt(pg_k / pg_scale))), where pg_k is the
+projected gradient norm and pg_scale the one the stopping test divides by.
+Far from the minimizer the Newton model is poor and a loose solve suffices;
+near it eta_k falls towards CG_TOL. The cap ``ETA_MAX`` is per objective:
+1e-2 for MOLS, and CG_TOL for OLS, which therefore solves every step to
+CG_TOL.
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ from .mesh import Mesh
 ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the line search
 BACKTRACK = 0.5  # step shrink factor per rejected trial
 CG_MAX_ITERS = 200
-CG_TOL = 1e-8  # relative residual of the Newton-CG solve
+CG_TOL = 1e-8  # smallest relative residual of the Newton-CG solve
+ETA_MAX = {"mols": 1e-2, "ols": CG_TOL}  # cap of the forcing term, per objective
 GRAD_TOL = 1e-8  # stopping test: projected gradient relative to its initial norm
 MAX_ITERS = 500  # Newton steps per schedule entry
 
@@ -188,12 +198,12 @@ class _EntryObjective:
         return grad, hess, D if np.all(D > 0) else np.ones_like(D)
 
 
-def _cg(hess, g, diag):
+def _cg(hess, g, diag, tol):
     """Jacobi-preconditioned CG on H p = -g, with negative curvature handled by a shift.
 
     ``diag`` is a positive diagonal approximating H; the unit diagonal gives
     plain CG bit for bit, since r / 1.0 == r. The stopping test reads the
-    unpreconditioned residual, |r| <= CG_TOL*|g|, so the preconditioner
+    unpreconditioned residual, |r| <= tol*|g|, so the preconditioner
     changes the work, not the accuracy. At most CG_MAX_ITERS Hessian actions
     are spent per attempt. When a direction shows nonpositive curvature, CG
     restarts on H + shift*I. Returns the direction and the number of Hessian
@@ -219,7 +229,7 @@ def _cg(hess, g, diag):
             alpha = rz / dHd
             p = p + alpha * d
             r = r - alpha * Hd
-            if r @ r <= CG_TOL * CG_TOL * rr0:
+            if r @ r <= tol * tol * rr0:
                 break
             z = r / diag
             rz_new = r @ z
@@ -233,6 +243,7 @@ def _cg(hess, g, diag):
 
 
 def _minimize_entry(fun: _EntryObjective, A0, c1, c2):
+    eta_max = ETA_MAX[fun.objective]
     A = project_box(A0, c1, c2)
     log = []
     value, state = fun.evaluate(A)
@@ -242,10 +253,12 @@ def _minimize_entry(fun: _EntryObjective, A0, c1, c2):
         pg = np.linalg.norm(project_box(A - grad, c1, c2) - A)
         row = EntryLogRow(value, pg)
         log.append(row)
-        if pg <= GRAD_TOL * max(log[0].pg_norm, 1e-300):
+        pg_scale = max(log[0].pg_norm, 1e-300)
+        if pg <= GRAD_TOL * pg_scale:
             termination = "grad_tol"
             break
-        p, row.cg_iters = _cg(hess, grad, diag)
+        eta = max(CG_TOL, min(eta_max, np.sqrt(pg / pg_scale)))
+        p, row.cg_iters = _cg(hess, grad, diag, eta)
         if p @ grad >= 0:  # not a descent direction; fall back
             p = -grad
         # Armijo backtracking along the projection arc

@@ -53,7 +53,7 @@ def test_run_cell_produces_small_errors():
 
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 1: the full-space Newton step clipped to the box stops these "
-    "MOLS cells on linesearch_failure (after 8, 10 and 20 rows) while success "
+    "MOLS cells on linesearch_failure (after 24, 13 and 14 rows) while success "
     "reads True; the reduced step on the free set reaches grad_tol, and the "
     "change that lands it removes this marker"))
 @pytest.mark.parametrize("n", [4, 6, 8])

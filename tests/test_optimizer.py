@@ -193,21 +193,75 @@ def test_tensors_assembled_once_per_state(objective, monkeypatch):
     assert counts["hessian_actions"] > counts["builds"]
 
 
-def test_cg_preconditioned_direction_matches_plain():
+def _spd_case():
+    """A random SPD H with condition number 100, a gradient g and a positive diagonal."""
     rng = np.random.Generator(np.random.Philox(key=30))
     Q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
     H = (Q * np.geomspace(1.0, 100.0, 20)) @ Q.T
-    g = rng.standard_normal(20)
-    diag = rng.uniform(0.5, 50.0, size=20)
-    p_plain, _ = optimizer._cg(lambda d: H @ d, g, np.ones(20))
-    p_jacobi, _ = optimizer._cg(lambda d: H @ d, g, diag)
+    return H, rng.standard_normal(20), rng.uniform(0.5, 50.0, size=20)
+
+
+def _pcg_iterates(H, g, diag):
+    """The first 60 iterates of Jacobi-preconditioned CG on H p = -g with
+    _cg's arithmetic, as pairs (p, r @ r); H must be SPD."""
+    p, r = np.zeros_like(g), -g.copy()
+    z = r / diag
+    d, rz = z.copy(), r @ z
+    iterates = []
+    for _ in range(60):
+        Hd = H @ d
+        alpha = rz / (d @ Hd)
+        p = p + alpha * d
+        r = r - alpha * Hd
+        iterates.append((p, r @ r))
+        z = r / diag
+        rz_new = r @ z
+        d = z + (rz_new / rz) * d
+        rz = rz_new
+    return iterates
+
+
+def test_cg_preconditioned_direction_matches_plain():
+    H, g, diag = _spd_case()
+    p_plain, _ = optimizer._cg(lambda d: H @ d, g, np.ones(20), optimizer.CG_TOL)
+    p_jacobi, _ = optimizer._cg(lambda d: H @ d, g, diag, optimizer.CG_TOL)
     assert np.linalg.norm(p_jacobi - p_plain) <= 1e-6 * np.linalg.norm(p_plain)
     assert np.linalg.norm(H @ p_plain + g) <= 1e-6 * np.linalg.norm(g)
     # negative curvature: CG restarts on a shifted H and still descends
     for d in (np.ones(20), diag):
-        p, actions = optimizer._cg(lambda v: -v, g, d)
+        p, actions = optimizer._cg(lambda v: -v, g, d, optimizer.CG_TOL)
         assert p @ g < 0
         assert actions >= 2
+
+
+def test_cg_stops_at_first_iterate_within_tolerance():
+    # _cg returns the first CG iterate with |r| <= tol*|g|, bit for bit, so
+    # the loose tol of a forcing term stops earlier on the same iterates
+    H, g, diag = _spd_case()
+    for d in (np.ones(20), diag):
+        iterates = _pcg_iterates(H, g, d)
+        spent = []
+        for tol in (optimizer.CG_TOL, 1e-2):
+            p, actions = optimizer._cg(lambda v: H @ v, g, d, tol)
+            first = next(k for k, (_, rr) in enumerate(iterates) if rr <= tol * tol * (g @ g))
+            assert actions == first + 1
+            assert np.array_equal(p, iterates[first][0])
+            spent.append(actions)
+        assert spent[1] < spent[0]
+
+
+def test_ols_steps_solved_to_cg_tol(monkeypatch):
+    # OLS caps its forcing term at CG_TOL, so each of its steps is exact to CG_TOL
+    tols = []
+    cg = optimizer._cg
+
+    def recorded(hess, g, diag, tol):
+        tols.append(tol)
+        return cg(hess, g, diag, tol)
+
+    monkeypatch.setattr(optimizer, "_cg", recorded)
+    run_cell(ExperimentConfig(objective="ols", seed=0), 8, 0.0)
+    assert len(tols) > 1 and all(tol == optimizer.CG_TOL for tol in tols)
 
 
 @pytest.mark.parametrize("n", [30, 60])
@@ -217,6 +271,10 @@ def test_mols_cg_work_per_newton_step(n):
     steps = result.entry_logs[0][:-1]  # the last row met grad_tol and took no step
     assert all(row.trials >= 1 for row in steps)
     assert np.mean([row.cg_iters for row in steps]) <= 65
+    # MOLS solves a step only to its forcing term, at most 1e-2 far from the
+    # minimizer: 78 Hessian actions at n=30 and at n=60, against 266 and 267
+    # with every step solved to CG_TOL
+    assert sum(row.cg_iters for row in steps) <= 90
 
 
 def test_rejected_trial_point_not_evaluated_again(monkeypatch):
@@ -238,7 +296,10 @@ def test_rejected_trial_point_not_evaluated_again(monkeypatch):
 
 class _Quadratic:
     """g.A + A.diag(lam).A / 2, whose state is the point A itself;
-    evaluating a point with max|A| above ``singular_above`` raises."""
+    evaluating a point with max|A| above ``singular_above`` raises. Its CG
+    runs to CG_TOL, as OLS's does."""
+
+    objective = "ols"
 
     def __init__(self, g, lam, singular_above=np.inf):
         self.g, self.lam, self.singular_above = g, lam, singular_above
@@ -266,7 +327,7 @@ def test_cg_returns_truncated_direction_after_three_shifts(monkeypatch):
         restarts.append(np.array_equal(d, -g))  # each attempt starts from d = -g
         return lam * d
 
-    p, actions = optimizer._cg(hess, g, np.ones(5))
+    p, actions = optimizer._cg(hess, g, np.ones(5), optimizer.CG_TOL)
     assert sum(restarts) == 3 and actions == len(restarts) == 6
     # one CG step along -g before the negative curvature: a scaled steepest
     # descent direction, which no shifted system with this g is solved by
@@ -298,7 +359,7 @@ def test_cg_shift_adds_curvature_of_shifted_operator():
         restarts.append(np.array_equal(d, -g))
         return lam * d
 
-    p, actions = optimizer._cg(hess, g, np.ones(2))
+    p, actions = optimizer._cg(hess, g, np.ones(2), optimizer.CG_TOL)
     assert sum(restarts) == 3 and actions == len(restarts)
     # p solves (H + shift*I) p = -g for one shift above -min(lam)
     shift = -g / p - lam
@@ -310,7 +371,7 @@ def test_cg_shift_adds_curvature_of_shifted_operator():
 def test_ascent_direction_falls_back_to_steepest_descent(monkeypatch):
     g = np.ones(5)
     fun = _Quadratic(g, np.arange(1.0, 6.0))
-    monkeypatch.setattr(optimizer, "_cg", lambda hess, grad, diag: (grad.copy(), 1))
+    monkeypatch.setattr(optimizer, "_cg", lambda hess, grad, diag, tol: (grad.copy(), 1))
     monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
     rec, _ = optimizer._minimize_entry(fun, np.zeros(5), -10.0, 10.0)
     # +grad is an ascent direction, so the step runs along -grad: the full
