@@ -5,9 +5,10 @@ any equation with this system; the state, sensitivity and adjoint
 equations differ only in their right-hand sides, which their callers form
 (``objectives``, ``setvalued``). A coercive reference problem
 K(A) + c0*W with its own regularization eps is this operator at eps + c0.
-For eps = 0 on the pure-Neumann problem the system is singular; the solve
-reports a structured error carrying a condition estimate instead of
-returning garbage.
+This module alone decides that a system cannot be solved: a constant-mode
+eigenvalue below LAMBDA_FAIL (eps = 0 on the pure-Neumann problem), an
+exactly singular factor or a residual off tolerance or NaN raise
+``SingularSystemError`` with a condition estimate, never garbage.
 """
 
 from __future__ import annotations
@@ -39,12 +40,15 @@ def _factorize(matrix: sp.spmatrix):
     Minimum degree on A^T + A with symmetric-mode (diagonal-first) pivoting,
     as the symmetric systems [K_tau + eps*W], pinned K and W want.
     """
-    return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     panel_size=LU_PANEL_SIZE, options={"SymmetricMode": True})
+    try:
+        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         panel_size=LU_PANEL_SIZE, options={"SymmetricMode": True})
+    except RuntimeError as err:  # SuperLU's "Factor is exactly singular"
+        raise SingularSystemError(f"LU factorization failed: {err}", np.inf) from err
 
 
 class SingularSystemError(RuntimeError):
-    """Raised when the (eps = 0) system is numerically singular."""
+    """Raised for any system ``forward`` cannot solve, eps = 0 among them."""
 
     def __init__(self, message: str, condition_estimate: float):
         super().__init__(message)
@@ -85,7 +89,7 @@ class RegularizedForwardOperator:
     singular system; repeated solves reuse the factorization.
     ``near_singular`` is computed on first read. ``K_tau`` is
     K_tau(A) at this tau when the caller has it assembled already; otherwise
-    it is assembled here.
+    it is assembled here. ``A`` is read for the constant-mode eigenvalue either way.
     """
 
     def __init__(self, mesh: Mesh, A: np.ndarray, eps: float, tau: float = 0.0,
@@ -97,19 +101,14 @@ class RegularizedForwardOperator:
         self.tau = float(tau)
         if K_tau is None:
             K_tau = assembly.assemble_perturbed_stiffness(mesh, A, tau)
-        W = assembly.shared_s_matrix(mesh)
         self.M = assembly.shared_mass(mesh)
-        self.system = (K_tau + self.eps * W).tocsc()
+        self.system = (K_tau + self.eps * assembly.shared_s_matrix(mesh)).tocsc()
         self._system_norm = spla.norm(self.system, np.inf)
-        # constant-mode generalized eigenvalue lam_c = eps + tau*int(a):
-        # the stiffness part annihilates constants, so this resolves levels far
-        # below what LU pivots can certify. The tau contribution is measured
-        # from the assembled matrix with a roundoff floor; the eps part is exact.
-        ones = np.ones(mesh.node_count)
-        t_term = (ones @ (K_tau @ ones)) / (ones @ (W @ ones))
-        if t_term < 256.0 * np.finfo(float).eps * self._system_norm:
-            t_term = 0.0
-        lam_c = self.eps + t_term
+        # constant-mode generalized eigenvalue lam_c = 1'G1 / 1'W1 = eps + tau*int(a)/|Omega|,
+        # exact as K(A) annihilates constants and 1'W1 = 1'M1; it resolves levels
+        # far below what LU pivots can certify. m_k = int(psi_k).
+        m = self.M @ np.ones(mesh.node_count)
+        lam_c = self.eps + self.tau * (m @ A) / m.sum()
         self.condition_estimate = (self._system_norm / lam_c if lam_c > 0
                                    else np.inf)
         if lam_c < LAMBDA_FAIL:
@@ -130,23 +129,23 @@ class RegularizedForwardOperator:
         # pivot-ratio fallback catches degeneracies unrelated to the constant mode;
         # extracting U copies it, so only a read pays for it
         udiag = np.abs(self._lu.U.diagonal())
-        umax = udiag.max()
-        return bool(umax > 0 and udiag.min() / umax < 1e-12)
+        return bool(udiag.min() / udiag.max() < 1e-12)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve [K_tau(A) + eps*W] x = rhs, e.g. the state V for the load P."""
         x = self._lu.solve(rhs)
         r = rhs - self.system @ x
         # backward-stability scale: |b| alone misjudges solves whose solution
-        # is amplified by the 1/eps constant mode
+        # is amplified by the 1/eps constant mode. It is 0 only if rhs = x = 0,
+        # and then r = 0 too; a NaN residual fails both tests
         scale = np.linalg.norm(rhs) + self._system_norm * np.linalg.norm(x)
-        if scale > 0 and np.linalg.norm(r) > SOLVER_TOL * scale:
+        if not np.linalg.norm(r) <= SOLVER_TOL * scale:
             # one step of iterative refinement recovers the lost digits
             x = x + self._lu.solve(r)
             r = rhs - self.system @ x
             scale = np.linalg.norm(rhs) + self._system_norm * np.linalg.norm(x)
         res = np.linalg.norm(r)
-        if scale > 0 and res > 1e-8 * scale:
+        if not res <= 1e-8 * scale:
             raise SingularSystemError(
                 f"solve did not reach tolerance (relative residual {res / scale:.3e})",
                 self.condition_estimate,

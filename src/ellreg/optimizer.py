@@ -259,7 +259,7 @@ def _minimize_entry(fun: _EntryObjective, A0, c1, c2):
             break
         eta = max(CG_TOL, min(eta_max, np.sqrt(pg / pg_scale)))
         p, row.cg_iters = _cg(hess, grad, diag, eta)
-        if p @ grad >= 0:  # not a descent direction; fall back
+        if not p @ grad < 0:  # not a descent direction (or NaN); fall back
             p = -grad
         # Armijo backtracking along the projection arc
         t = 1.0

@@ -46,6 +46,12 @@ def test_solve_refines_then_raises(prob):
     with pytest.raises(SingularSystemError, match="did not reach tolerance") as exc:
         op.solve(prob.P)
     assert exc.value.condition_estimate == op.condition_estimate
+    # a NaN residual fails both tests rather than passing the solution through
+    op._lu = forward._factorize(op.system)
+    P_nan = prob.P.copy()
+    P_nan[3] = np.nan
+    with pytest.raises(SingularSystemError, match="did not reach tolerance"):
+        op.solve(P_nan)
 
 
 def test_system_spd_for_positive_eps(prob):
@@ -58,10 +64,37 @@ def test_system_spd_for_positive_eps(prob):
 
 
 def test_singular_at_eps_zero(prob):
-    A = np.ones(prob.mesh.node_count)
+    mesh = prob.mesh
+    A = np.ones(mesh.node_count)
     with pytest.raises(SingularSystemError) as exc:
-        RegularizedForwardOperator(prob.mesh, A, eps=0.0)
+        RegularizedForwardOperator(mesh, A, eps=0.0)
     assert exc.value.condition_estimate > 1e12
+    # a = 0 on x > 1/2: the constant mode sees tau*int(a) > 0, but the rows of
+    # nodes whose neighbours all have a = 0 vanish, so the factor is singular
+    half = np.where(mesh.nodes[:, 0] < 0.5, 1.0, 0.0)
+    with pytest.raises(SingularSystemError, match="exactly singular") as exc:
+        RegularizedForwardOperator(mesh, half, eps=0.0, tau=1e-2)
+    assert exc.value.condition_estimate == np.inf
+    with pytest.raises(SingularSystemError, match="exactly singular"):
+        solve_neumann_mean_zero(mesh, assembly.assemble_stiffness(mesh, half), prob.P)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-4, 1e-1])
+def test_constant_mode_eigenvalue_is_rayleigh_quotient(prob, tau):
+    # lam_c = eps + tau*int(a)/|Omega| is the quotient 1'G1 / 1'W1, which is
+    # measured here from the assembled matrices to within their roundoff
+    mesh = prob.mesh
+    rng = np.random.Generator(np.random.Philox(key=17))
+    A = rng.uniform(0.1, 10.0, size=mesh.node_count)
+    eps = 1e-3
+    op = RegularizedForwardOperator(mesh, A, eps=eps, tau=tau)
+    ones = np.ones(mesh.node_count)
+    W = assembly.shared_s_matrix(mesh)
+    measured = (ones @ (op.system @ ones)) / (ones @ (W @ ones))
+    tol = 256.0 * np.finfo(float).eps * spla.norm(op.system, np.inf)
+    assert abs(op._lam_c - measured) <= tol
+    if tau == 0.0:
+        assert op._lam_c == eps
 
 
 def _pivot_ratio(op):

@@ -122,7 +122,7 @@ def test_eps_zero_entry_gives_structured_failure():
 def test_empty_schedule_rejected():
     prob, problem = _problem(4)
     A_nan = np.ones(prob.mesh.node_count)
-    A_nan[3] = np.nan  # the box projection keeps NaN, so SuperLU would meet it
+    A_nan[3] = np.nan  # the box projection keeps NaN, so the operator would meet it
     cases = (((), np.ones(prob.mesh.node_count), "schedule"), ((_entry(),), A_nan, "A0"))
     for schedule, A0, match in cases:
         with pytest.raises(ValueError, match=match):
@@ -370,16 +370,18 @@ def test_cg_shift_adds_curvature_of_shifted_operator():
 
 def test_ascent_direction_falls_back_to_steepest_descent(monkeypatch):
     g = np.ones(5)
-    fun = _Quadratic(g, np.arange(1.0, 6.0))
-    monkeypatch.setattr(optimizer, "_cg", lambda hess, grad, diag, tol: (grad.copy(), 1))
     monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
-    rec, _ = optimizer._minimize_entry(fun, np.zeros(5), -10.0, 10.0)
-    # +grad is an ascent direction, so the step runs along -grad: the full
-    # step -g overshoots (value 2.5 > 0) and the half step is accepted
-    assert [list(a) for a in fun.evaluated] == [[0.0] * 5, [-1.0] * 5, [-0.5] * 5]
-    assert np.array_equal(rec.A, -0.5 * g)
-    assert rec.log[0].trials == 2
-    assert rec.termination == "max_iters"
+    for p in (g, np.full(5, np.nan)):
+        fun = _Quadratic(g, np.arange(1.0, 6.0))
+        monkeypatch.setattr(optimizer, "_cg", lambda hess, grad, diag, tol: (p.copy(), 1))
+        rec, _ = optimizer._minimize_entry(fun, np.zeros(5), -10.0, 10.0)
+        # +grad is an ascent direction and a NaN one no descent direction, so
+        # the step runs along -grad: the full step -g overshoots (value 2.5 > 0)
+        # and the half step is accepted
+        assert [list(a) for a in fun.evaluated] == [[0.0] * 5, [-1.0] * 5, [-0.5] * 5]
+        assert np.array_equal(rec.A, -0.5 * g)
+        assert rec.log[0].trials == 2
+        assert rec.termination == "max_iters"
 
 
 def test_singular_trial_is_rejected_and_step_backtracks(monkeypatch):
