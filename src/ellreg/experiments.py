@@ -176,9 +176,10 @@ def write_table_csv(rows: list[TableRow], path, config: ExperimentConfig) -> Non
 def run_failure_demo(config: ExperimentConfig, n: int) -> dict:
     """Attempt a reconstruction at the configured eps; eps = 0 must fail structurally.
 
-    Any termination but grad_tol is "failed"; a near-singular final operator only warns."""
+    Any termination but grad_tol or stagnation is "failed"; a near-singular final
+    operator only warns."""
     _, result = _reconstruct(config, n)
-    if result.termination != "grad_tol":
+    if result.termination not in ("grad_tol", "stagnation"):
         reason = result.failure_reason or f"minimize stopped on {result.termination}"
         return {"status": "failed", "reason": reason,
                 "condition_estimate": result.condition_estimate}

@@ -13,9 +13,14 @@ step k solves H p = -g only to |r| <= eta_k*|g|, with the forcing term
 eta_k = max(CG_TOL, min(ETA_MAX, sqrt(pg_k / pg_scale))), where pg_k is the
 projected gradient norm and pg_scale the one the stopping test divides by.
 Far from the minimizer the Newton model is poor and a loose solve suffices;
-near it eta_k falls towards CG_TOL. The cap ``ETA_MAX`` is per objective:
-1e-2 for MOLS, and CG_TOL for OLS, which therefore solves every step to
-CG_TOL.
+near it eta_k falls towards CG_TOL. The theory holds for any smooth
+objective, so OLS and MOLS share the one cap ``ETA_MAX``.
+
+A line search that rejects every trial ends the entry on "stagnation" when
+pg_k <= sqrt(GRAD_TOL) * pg_scale, the accuracy that noisy values allow, and
+the full step's model decrease -g.p is no larger than the largest rise of f
+over the trials, which measures the noise (compare More & Wild, SIAM J. Sci.
+Comput. 33, 2011); otherwise on "linesearch_failure".
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the line search
 BACKTRACK = 0.5  # step shrink factor per rejected trial
 CG_MAX_ITERS = 200
 CG_TOL = 1e-8  # smallest relative residual of the Newton-CG solve
-ETA_MAX = {"mols": 1e-2, "ols": CG_TOL}  # cap of the forcing term, per objective
+ETA_MAX = 1e-2  # cap of the forcing term, far from the minimizer
 GRAD_TOL = 1e-8  # stopping test: projected gradient relative to its initial norm
 MAX_ITERS = 500  # Newton steps per schedule entry
 
@@ -54,7 +59,7 @@ class EntryLogRow:
 class EntryResult:
     """One schedule entry's minimization: its final iterate ``A`` (the next entry's
     warm start), its ``log``, a tuple of ``EntryLogRow``, and how it stopped,
-    ``termination``: "grad_tol", "max_iters" or "linesearch_failure"."""
+    ``termination``: "grad_tol", "stagnation", "max_iters" or "linesearch_failure"."""
 
     A: np.ndarray
     log: tuple
@@ -243,7 +248,6 @@ def _cg(hess, g, diag, tol):
 
 
 def _minimize_entry(fun: _EntryObjective, A0, c1, c2):
-    eta_max = ETA_MAX[fun.objective]
     A = project_box(A0, c1, c2)
     log = []
     value, state = fun.evaluate(A)
@@ -257,7 +261,7 @@ def _minimize_entry(fun: _EntryObjective, A0, c1, c2):
         if pg <= GRAD_TOL * pg_scale:
             termination = "grad_tol"
             break
-        eta = max(CG_TOL, min(eta_max, np.sqrt(pg / pg_scale)))
+        eta = max(CG_TOL, min(ETA_MAX, np.sqrt(pg / pg_scale)))
         p, row.cg_iters = _cg(hess, grad, diag, eta)
         if not p @ grad < 0:  # not a descent direction (or NaN); fall back
             p = -grad
@@ -265,6 +269,7 @@ def _minimize_entry(fun: _EntryObjective, A0, c1, c2):
         t = 1.0
         accepted = False
         rejected = None  # the last rejected trial point
+        rise = -np.inf  # the largest rise of f over the rejected trials, inf if one is singular
         for _ in range(60):
             A_try = project_box(A + t * p, c1, c2)
             dA = A_try - A
@@ -284,9 +289,11 @@ def _minimize_entry(fun: _EntryObjective, A0, c1, c2):
                 accepted = True
                 break
             rejected = A_try
+            rise = max(rise, v_try - value)
             t *= BACKTRACK
         if not accepted:
-            termination = "linesearch_failure"
+            at_noise_floor = -(p @ grad) <= rise < np.inf and pg <= np.sqrt(GRAD_TOL) * pg_scale
+            termination = "stagnation" if at_noise_floor else "linesearch_failure"
             break
         A, value, state = A_try, v_try, s_try
         grad, hess, diag = fun.derivatives(state)

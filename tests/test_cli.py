@@ -50,6 +50,7 @@ def test_failure_exit_codes(tmp_path):
     assert main(["failure", "--eps", "0", "--n", "10"]) == 2
     assert main(["failure", "--eps", "1e-4", "--n", "10"]) == 0
     assert main(["failure", "--eps", "1e-12", "--n", "8"]) == 2  # stops on linesearch_failure
+    assert main(["failure", "--eps", "1e-10", "--n", "8"]) == 0  # stagnation, near-singular
 
 
 def test_unexpected_error_exit_code(tmp_path, capsys):

@@ -127,6 +127,18 @@ def test_failure_demo_statuses(monkeypatch):
     assert builds == [12, 12, 8]
 
 
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_failure_demo_near_singular_stagnation(n):
+    # the evaluation noise of a near-singular operator stops the line search:
+    # at eps = 1e-10 once pg has fallen to 1e-6..2e-5 of its first value, which
+    # is stagnation and only warns; at eps = 1e-12 at 7e-4..4e-3, short of
+    # sqrt(GRAD_TOL), which fails
+    rep = exp.run_failure_demo(exp.ExperimentConfig(eps=1e-10), n=n)
+    assert rep["status"] == "success-with-warning"
+    rep = exp.run_failure_demo(exp.ExperimentConfig(eps=1e-12), n=n)
+    assert rep["status"] == "failed" and "linesearch_failure" in rep["reason"]
+
+
 def test_failure_demo_reference_solve_failure(monkeypatch):
     # the demo reads only the reconstruction: a singular reference system at
     # the true coefficient cannot fail it, because it is never built
