@@ -1,8 +1,8 @@
 """Command-line entry point for the reconstruction experiments and probes.
 
-Each subcommand takes only the flags its handler reads, plus ``--config
-FILE``. Exit codes: 0 success; 2 when the failure demo's reconstruction
-fails (a singular system or no convergence); 1 anything else, usage errors included.
+Each subcommand takes only the flags its handler reads. Exit codes: 0
+success; 2 when the failure demo's reconstruction fails (a singular system
+or no convergence); 1 anything else, usage errors included.
 """
 
 from __future__ import annotations
@@ -16,22 +16,6 @@ import numpy as np
 from . import experiments as exp
 from .forward import default_schedule
 from .setvalued import ContingentProbe
-
-
-def _config_tokens(path):
-    """``key = value`` lines as ``--key=value`` tokens; blank lines and '#' comments ignored."""
-    tokens = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, val = (t.strip() for t in line.split("=", 1))
-        if key == "config":
-            raise ValueError(f"{path}:{lineno}: a config file cannot name another")
-        tokens.append(f"--{key}={val}")
-    return tokens
 
 
 _FLAGS = {
@@ -49,12 +33,10 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="ellreg")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (_, flags) in _COMMANDS.items():
-        # no abbreviations, so a config key is a flag spelled in full
+        # no abbreviations: a flag is accepted only spelled in full
         p = sub.add_parser(name, allow_abbrev=False)
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
-        p.add_argument("--config", type=str, default=None,
-                       help="key = value file of this command's flags; entries override them")
     return ap
 
 
@@ -157,12 +139,8 @@ _COMMANDS = {  # handler and the flags it reads
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:  # its entries become flags, parsed after (so over) argv's
-            args = parser.parse_args([*argv, *_config_tokens(args.config)])
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command][0](args)
     except SystemExit as stop:  # only argparse exits: 0 after --help, 2 on a usage error
         return 1 if stop.code else 0

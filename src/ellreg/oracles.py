@@ -1,10 +1,11 @@
 """Reference routes for the OLS/MOLS derivatives: the direct gradient and
-the dense Hessians, and the sampled variational-inequality optimality
-residuals.
+the dense Hessians, the sampled variational-inequality optimality
+residuals, and an L-BFGS-B minimum of one schedule entry's objective.
 
 The derivative routes are algebraically independent of the adjoint-state
 scheme in ``objectives``, so the tests and ``ellreg check-gradients`` hold
-the two against each other. Nothing on the reconstruction or probe path
+the two against each other; the L-BFGS-B minimum is held against
+``optimizer.minimize``. Nothing on the reconstruction or probe path
 imports this module. The direct gradient and the dense Hessians cost one
 solve per parameter; small meshes only.
 """
@@ -12,11 +13,13 @@ solve per parameter; small meshes only.
 from __future__ import annotations
 
 import numpy as np
+from scipy import optimize as spo
 
 from . import assembly
 from .forward import RegularizedForwardOperator
 from .mesh import Mesh
 from .objectives import regularizer_eval
+from .optimizer import IdentificationProblem, _EntryObjective
 
 VI_RANDOM_POINTS = 32  # random interior points a VI residual samples besides the box faces
 VI_SEED = 0  # their Philox key
@@ -107,3 +110,25 @@ def _vi_samples(A: np.ndarray, c1: float, c2: float):
     rng = np.random.Generator(np.random.Philox(key=VI_SEED))
     for _ in range(VI_RANDOM_POINTS):
         yield rng.uniform(c1, c2, size=m)
+
+
+def entry_minimum_lbfgsb(problem: IdentificationProblem, entry, objective: str,
+                         A0: np.ndarray):
+    """Minimize one schedule entry's objective over the box with L-BFGS-B.
+
+    Uses only the value and the adjoint gradient of ``optimizer``'s entry
+    objective, no Hessian, so it is a reference for the minimum that
+    ``optimizer.minimize`` reaches (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
+    Comput. 16, 1995). Returns scipy's ``OptimizeResult``: ``fun`` and ``x``
+    are the final value and iterate.
+    """
+    fun = _EntryObjective(problem, entry, objective)
+
+    def value_and_grad(A):
+        value, state = fun.evaluate(A)
+        return value, fun.derivatives(state)[0]
+
+    # L-BFGS-B clips the start point to the bounds itself
+    return spo.minimize(value_and_grad, A0, jac=True, method="L-BFGS-B",
+                        bounds=[(problem.c1, problem.c2)] * len(A0),
+                        options=dict(ftol=1e-15, gtol=1e-12))

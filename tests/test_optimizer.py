@@ -157,6 +157,30 @@ def test_ols_vi_residual_at_minimizer():
     assert r >= -1e-6
 
 
+_STALL = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the clipped full-space step stalls on linesearch_failure above the "
+    "L-BFGS-B minimum (f 1.0534e-1, 5.8731e-2, 8.6333e-3 against 6.7261e-2, 1.8724e-2, "
+    "7.8311e-3 at n = 4, 6, 8); the reduced step on the free set removes this marker"))
+
+
+@pytest.mark.parametrize("objective, n", [
+    ("ols", 8), ("ols", 20), ("mols", 20),
+    pytest.param("mols", 4, marks=_STALL), pytest.param("mols", 6, marks=_STALL),
+    pytest.param("mols", 8, marks=_STALL),
+])
+def test_minimize_reaches_lbfgsb_minimum(objective, n):
+    # L-BFGS-B on the same value and adjoint gradient, with no Hessian, is an
+    # independent route to the entry's minimum; measured agreement 1e-11 to 8e-11,
+    # so 1e-9 has a margin and is never to be widened
+    prob, problem = _problem(n)
+    entry = _entry()
+    A0 = np.full(prob.mesh.node_count, 5.05)
+    res = minimize(problem, (entry,), objective, A0)
+    f_min = res.entries[-1].log[-1].objective
+    f_ref = oracles.entry_minimum_lbfgsb(problem, entry, objective, A0).fun
+    assert abs(f_min - f_ref) <= 1e-9 * abs(f_ref)
+
+
 def test_data_steered_mode_changes_load():
     # without noise the load is the exact one plus the steering term eps*W*z
     prob, problem = _problem(6)
