@@ -52,7 +52,8 @@ def _run_table(args, out_name, **fields):
     exp.write_table_csv(rows, path, cfg)
     for r in rows:
         print(f"{cfg.label_column}={r.label}  rel_l2_a={r.rel_l2_a:.2e}  "
-              f"rel_l2_u={r.rel_l2_u:.2e}  iters={r.iterations}  "
+              f"rel_l2_u={r.rel_l2_u:.2e}  rel_linf_a={r.rel_linf_a:.2e}  "
+              f"rel_linf_u={r.rel_linf_u:.2e}  iters={r.iterations}  "
               f"wall={r.wall_time:.2f}s")
     print(f"wrote {path}")
     return 0

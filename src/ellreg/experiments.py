@@ -10,7 +10,7 @@ four sides, so the compatibility condition holds exactly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -83,7 +83,8 @@ class TableRow:
     rel_linf_u: float
     rel_l2_u_interp: float  # u-error against the interpolated exact state
     iterations: int
-    wall_time: float  # reported to the console only; kept out of the CSVs
+    termination: str
+    wall_time: float  # reported to the console only; kept out of the CSV
 
 
 def _errors(mesh, A_star, V_star, A_true, u_ref, Z_interp):
@@ -145,32 +146,22 @@ def run_table(config: ExperimentConfig) -> list[TableRow]:
         if errs is None:
             raise result.error
         rows.append(TableRow(label=label, iterations=result.iterations,
-                             wall_time=wall, **errs))
+                             termination=result.termination, wall_time=wall, **errs))
     return rows
 
 
-# TableRow fields after the label, with their 3-digit format (None: full file only)
-_CSV_COLUMNS = (("rel_l2_a", ".2e"), ("rel_l2_u", ".2e"), ("rel_linf_a", ".2e"),
-                ("rel_linf_u", ".2e"), ("rel_l2_u_interp", None), ("iterations", "d"))
-
-
 def write_table_csv(rows: list[TableRow], path, config: ExperimentConfig) -> None:
-    """Main CSV (3 significant digits, deterministic) plus a full-precision sidecar.
+    """``config.label_column``, then a column per other ``TableRow`` field but ``wall_time``.
 
-    Columns: ``config.label_column``, then ``_CSV_COLUMNS``. The sidecar,
-    ``path`` + ".full.csv", writes each as repr; the main file, those with a format.
+    Each value is written as str(x), which is repr(x) for a float, so it round-trips.
     """
-    header = (f"# objective={config.objective} kappa={config.kappa:g} "
-              f"eps={config.eps:g} seed={config.seed} tau=0 nu=0\n")
-    for out, full in ((path, False), (f"{path}.full.csv", True)):
-        columns = [(name, spec) for name, spec in _CSV_COLUMNS if full or spec]
-        with open(out, "w", newline="") as fh:
-            fh.write(header)
-            fh.write(",".join([config.label_column] + [name for name, _ in columns]) + "\n")
-            for r in rows:
-                cells = [repr(getattr(r, name)) if full else format(getattr(r, name), spec)
-                         for name, spec in columns]
-                fh.write(",".join([r.label, *cells]) + "\n")
+    names = [f.name for f in fields(TableRow) if f.name not in ("label", "wall_time")]
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# objective={config.objective} kappa={config.kappa:g} "
+                 f"eps={config.eps:g} seed={config.seed} tau=0 nu=0\n")
+        fh.write(",".join([config.label_column, *names]) + "\n")
+        for r in rows:
+            fh.write(",".join([r.label, *(str(getattr(r, name)) for name in names)]) + "\n")
 
 
 def run_failure_demo(config: ExperimentConfig, n: int) -> dict:

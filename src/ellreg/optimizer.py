@@ -134,7 +134,7 @@ class IdentificationProblem:
 
 def project_box(A: np.ndarray, c1: float, c2: float) -> np.ndarray:
     """Componentwise clamp onto [c1, c2]; idempotent and nonexpansive."""
-    if c1 >= c2:
+    if not c1 < c2:
         raise ValueError("need c1 < c2")
     return np.clip(np.asarray(A, dtype=float), c1, c2)
 

@@ -295,8 +295,7 @@ def test_criterion_10_determinism_across_thread_counts(tmp_path):
                 [sys.executable, "-m", "ellreg.cli", name, *argv, "--out", str(out)],
                 env=env, capture_output=True, text=True)
             assert r.returncode == 0, r.stderr
-            outs.append((out / f"{name}.csv").read_bytes()
-                        + (out / f"{name}.csv.full.csv").read_bytes())
+            outs.append((out / f"{name}.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2], name
     if hasattr(os, "sched_setaffinity"):
         # the probe's worker count follows the CPUs the process may use:

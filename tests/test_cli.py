@@ -31,7 +31,7 @@ def test_table1_small_run(tmp_path, capsys):
     assert rc == 0
     csv = (tmp_path / "table1.csv").read_text()
     assert csv.splitlines()[1].startswith("h,")
-    assert (tmp_path / "table1.csv.full.csv").exists()
+    assert not (tmp_path / "table1.csv.full.csv").exists()
 
 
 def test_table2_and_table3_small_runs(tmp_path):
@@ -164,5 +164,3 @@ def test_cli_outputs_byte_identical(tmp_path):
                      "--out", str(out)]) == 0
     assert ((out1 / "table3.csv").read_bytes()
             == (out2 / "table3.csv").read_bytes())
-    assert ((out1 / "table3.csv.full.csv").read_bytes()
-            == (out2 / "table3.csv.full.csv").read_bytes())

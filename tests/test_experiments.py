@@ -72,14 +72,12 @@ def test_run_table_mesh_refinement(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# objective=ols")
     assert "seed=0" in lines[0]
-    assert lines[1] == "h,rel_l2_a,rel_l2_u,rel_linf_a,rel_linf_u,iterations"
+    assert lines[1] == ("h,rel_l2_a,rel_l2_u,rel_linf_a,rel_linf_u,rel_l2_u_interp,"
+                        "iterations,termination")
     cells = lines[2].split(",")
-    assert len(cells) == 6
-    float(cells[1])  # parses as a number
-    assert "e-" in cells[1]  # scientific notation
-    # full-precision sidecar round-trips the exact value
-    full = (tmp_path / "t.csv.full.csv").read_text().splitlines()
-    assert float(full[2].split(",")[1]) == rows[0].rel_l2_a
+    assert len(cells) == 8
+    # full precision: the value round-trips exactly
+    assert float(cells[1]) == rows[0].rel_l2_a
 
 
 def test_run_table_noise_sweep(tmp_path):
@@ -90,10 +88,9 @@ def test_run_table_noise_sweep(tmp_path):
     # a noise sweep's first column is named after its deltas
     path = tmp_path / "t.csv"
     exp.write_table_csv(rows, path, cfg)
-    for p in (path, tmp_path / "t.csv.full.csv"):
-        lines = p.read_text().splitlines()
-        assert lines[1].startswith("delta,rel_l2_a,")
-        assert lines[2].startswith("1e-01,")
+    lines = path.read_text().splitlines()
+    assert lines[1].startswith("delta,rel_l2_a,")
+    assert lines[2].startswith("1e-01,")
 
 
 def test_run_table_raises_on_singular_cell():

@@ -29,8 +29,9 @@ def _entry(eps=1e-4, kappa=1e-4, **kw):
 def test_project_box(n, seed, c1, width):
     out = project_box(np.array([-5.0, 0.5, 50.0]), 0.1, 10.0)
     assert np.array_equal(out, [0.1, 0.5, 10.0])
-    with pytest.raises(ValueError):
-        project_box(np.ones(2), 2.0, 1.0)
+    for lo, hi in ((2.0, 1.0), (np.nan, 1.0), (0.1, np.nan)):
+        with pytest.raises(ValueError):
+            project_box(np.ones(2), lo, hi)
     rng = np.random.Generator(np.random.Philox(key=seed))
     c2 = c1 + width
     A, B = rng.uniform(c1 - 2.0 * width, c2 + 2.0 * width, size=(2, n))
