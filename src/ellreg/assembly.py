@@ -71,7 +71,8 @@ def assemble_perturbed_stiffness(mesh: Mesh, A: np.ndarray, tau: float) -> sp.cs
 
 
 def perturb(K: sp.csr_matrix, M_a: sp.csr_matrix, tau: float) -> sp.csr_matrix:
-    """K_tau(a) = K(a) + tau*M_a, ``K`` itself at tau = 0: the one place the sum is formed and tau checked."""
+    """K + tau*M_a, ``K`` itself at tau = 0: the one sum of mesh matrices (K_tau, L_tau, W
+    and the operator's system) and the one check of its coefficient."""
     if not 0.0 <= tau < np.inf:  # False for NaN too
         raise ValueError("tau must be finite and nonnegative")
     return K if tau == 0.0 else (K + tau * M_a).tocsr()
@@ -79,8 +80,7 @@ def perturb(K: sp.csr_matrix, M_a: sp.csr_matrix, tau: float) -> sp.csr_matrix:
 
 def assemble_s_matrix(mesh: Mesh) -> sp.csr_matrix:
     """W_ij = S(phi_i, phi_j) with S the full H1 inner product (coercive, alpha0=1)."""
-    ones = np.ones(mesh.node_count)
-    return (assemble_stiffness(mesh, ones) + shared_mass(mesh)).tocsr()
+    return perturb(assemble_stiffness(mesh, np.ones(mesh.node_count)), shared_mass(mesh), 1.0)
 
 
 def shared_mass(mesh: Mesh) -> sp.csr_matrix:

@@ -6,9 +6,9 @@ equations differ only in their right-hand sides, which their callers form
 (``objectives``, ``setvalued``). A coercive reference problem
 K(A) + c0*W with its own regularization eps is this operator at eps + c0.
 This module alone decides that a system cannot be solved: a constant-mode
-eigenvalue below LAMBDA_FAIL (eps = 0 on the pure-Neumann problem), an
-exactly singular factor or a residual off tolerance or NaN raise
-``SingularSystemError`` with a condition estimate, never garbage.
+eigenvalue below LAMBDA_FAIL (eps = 0 on the pure-Neumann problem), an exactly
+singular factor or an operator solve off tolerance or NaN raise ``SingularSystemError``.
+``riesz_dual_norm`` and ``solve_neumann_mean_zero`` return their solves unchecked.
 """
 
 from __future__ import annotations
@@ -102,15 +102,15 @@ class RegularizedForwardOperator:
         if K_tau is None:
             K_tau = assembly.assemble_perturbed_stiffness(mesh, A, tau)
         self.M = assembly.shared_mass(mesh)
-        self.system = (K_tau + self.eps * assembly.shared_s_matrix(mesh)).tocsc()
+        # K_tau and W are exactly symmetric, so the sum's CSR arrays are its CSC arrays
+        self.system = assembly.perturb(K_tau, assembly.shared_s_matrix(mesh), self.eps).T
         self._system_norm = spla.norm(self.system, np.inf)
         # constant-mode generalized eigenvalue lam_c = 1'G1 / 1'W1 = eps + tau*int(a)/|Omega|,
         # exact as K(A) annihilates constants and 1'W1 = 1'M1; it resolves levels
         # far below what LU pivots can certify. m_k = int(psi_k).
         m = self.M @ np.ones(mesh.node_count)
         lam_c = self.eps + self.tau * (m @ A) / m.sum()
-        self.condition_estimate = (self._system_norm / lam_c if lam_c > 0
-                                   else np.inf)
+        self.condition_estimate = self._system_norm / lam_c if lam_c > 0 else np.inf
         if lam_c < LAMBDA_FAIL:
             raise SingularSystemError(
                 f"system is numerically singular (eps={self.eps:g}, "

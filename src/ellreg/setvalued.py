@@ -167,6 +167,6 @@ class ContingentProbe:
     def write_csv(self, path) -> None:
         """A column per ``ProbeRecord`` field; floats as str(x) == repr(x), so they round-trip."""
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
+            w = csv.writer(fh, lineterminator="\n")
             w.writerow(f.name for f in fields(ProbeRecord))
             w.writerows(astuple(r) for r in self.records)

@@ -160,6 +160,7 @@ def test_probe_requires_schedule_and_owns_records():
 def test_csv_columns(probe, tmp_path):
     path = tmp_path / "probe.csv"
     probe.write_csv(path)
+    assert b"\r" not in path.read_bytes()  # LF line ends, as the table files
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["n", "eps", "tau", "residual_fcd", "residual_scd",
