@@ -7,8 +7,8 @@ equations differ only in their right-hand sides, which their callers form
 K(A) + c0*W with its own regularization eps is this operator at eps + c0.
 This module alone decides that a system cannot be solved: a constant-mode
 eigenvalue below LAMBDA_FAIL (eps = 0 on the pure-Neumann problem), an exactly
-singular factor or an operator solve off tolerance or NaN raise ``SingularSystemError``.
-``riesz_dual_norm`` and ``solve_neumann_mean_zero`` return their solves unchecked.
+singular factor or a solve off tolerance or NaN raise ``SingularSystemError``.
+Every solve here, the operator's, W's and the pinned K's, is residual-checked.
 """
 
 from __future__ import annotations
@@ -34,17 +34,43 @@ LAMBDA_WARN = 1e-9
 LU_PANEL_SIZE = 2
 
 
-def _factorize(matrix: sp.spmatrix):
-    """Sparse LU of a matrix with symmetric pattern, the package's one recipe.
+class _Factor:
+    """Sparse LU by the package's one recipe, with its residual-checked solve.
 
     Minimum degree on A^T + A with symmetric-mode (diagonal-first) pivoting,
-    as the symmetric systems [K_tau + eps*W], pinned K and W want.
+    as the symmetric systems [K_tau + eps*W], pinned K and W want. Threads may
+    share a factor, as a solve keeps no state. A failed solve reports norm/lam_c
+    as its condition estimate, NaN where the constant-mode eigenvalue is unknown.
     """
-    try:
-        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                         panel_size=LU_PANEL_SIZE, options={"SymmetricMode": True})
-    except RuntimeError as err:  # SuperLU's "Factor is exactly singular"
-        raise SingularSystemError(f"LU factorization failed: {err}", np.inf) from err
+
+    def __init__(self, matrix: sp.spmatrix, lam_c: float = np.nan):
+        self.matrix = matrix
+        self.norm = spla.norm(matrix, np.inf)
+        self.condition_estimate = self.norm / lam_c
+        try:
+            self.lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                panel_size=LU_PANEL_SIZE, options={"SymmetricMode": True})
+        except RuntimeError as err:  # SuperLU's "Factor is exactly singular"
+            raise SingularSystemError(f"LU factorization failed: {err}", np.inf) from err
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve matrix @ x = rhs, refined once if the residual misses SOLVER_TOL."""
+        x = self.lu.solve(rhs)
+        r = rhs - self.matrix @ x
+        # backward-stability scale: |b| alone misjudges solves whose solution
+        # is amplified by the 1/eps constant mode. It is 0 only if rhs = x = 0,
+        # and then r = 0 too; a NaN residual fails both tests
+        scale = np.linalg.norm(rhs) + self.norm * np.linalg.norm(x)
+        if not np.linalg.norm(r) <= SOLVER_TOL * scale:
+            # one step of iterative refinement recovers the lost digits
+            x = x + self.lu.solve(r)
+            r = rhs - self.matrix @ x
+            scale = np.linalg.norm(rhs) + self.norm * np.linalg.norm(x)
+        res = np.linalg.norm(r)
+        if not res <= 1e-8 * scale:
+            raise SingularSystemError(f"solve did not reach tolerance (relative residual "
+                                      f"{res / scale:.3e})", self.condition_estimate)
+        return x
 
 
 class SingularSystemError(RuntimeError):
@@ -104,22 +130,19 @@ class RegularizedForwardOperator:
         self.M = assembly.shared_mass(mesh)
         # K_tau and W are exactly symmetric, so the sum's CSR arrays are its CSC arrays
         self.system = assembly.perturb(K_tau, assembly.shared_s_matrix(mesh), self.eps).T
-        self._system_norm = spla.norm(self.system, np.inf)
         # constant-mode generalized eigenvalue lam_c = 1'G1 / 1'W1 = eps + tau*int(a)/|Omega|,
         # exact as K(A) annihilates constants and 1'W1 = 1'M1; it resolves levels
         # far below what LU pivots can certify. m_k = int(psi_k).
         m = self.M @ np.ones(mesh.node_count)
         lam_c = self.eps + self.tau * (m @ A) / m.sum()
-        self.condition_estimate = self._system_norm / lam_c if lam_c > 0 else np.inf
         if lam_c < LAMBDA_FAIL:
-            raise SingularSystemError(
-                f"system is numerically singular (eps={self.eps:g}, "
-                f"constant-mode eigenvalue {lam_c:.3e}); "
-                f"condition estimate {self.condition_estimate:.3e}",
-                self.condition_estimate,
-            )
+            cond = spla.norm(self.system, np.inf) / lam_c if lam_c > 0 else np.inf
+            raise SingularSystemError(f"system is numerically singular (eps={self.eps:g}, "
+                                      f"constant-mode eigenvalue {lam_c:.3e}); "
+                                      f"condition estimate {cond:.3e}", cond)
         self._lam_c = lam_c
-        self._lu = _factorize(self.system)
+        self._factor = _Factor(self.system, lam_c)
+        self.condition_estimate = self._factor.condition_estimate
 
     @cached_property
     def near_singular(self) -> bool:
@@ -128,29 +151,12 @@ class RegularizedForwardOperator:
             return True
         # pivot-ratio fallback catches degeneracies unrelated to the constant mode;
         # extracting U copies it, so only a read pays for it
-        udiag = np.abs(self._lu.U.diagonal())
+        udiag = np.abs(self._factor.lu.U.diagonal())
         return bool(udiag.min() / udiag.max() < 1e-12)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve [K_tau(A) + eps*W] x = rhs, e.g. the state V for the load P."""
-        x = self._lu.solve(rhs)
-        r = rhs - self.system @ x
-        # backward-stability scale: |b| alone misjudges solves whose solution
-        # is amplified by the 1/eps constant mode. It is 0 only if rhs = x = 0,
-        # and then r = 0 too; a NaN residual fails both tests
-        scale = np.linalg.norm(rhs) + self._system_norm * np.linalg.norm(x)
-        if not np.linalg.norm(r) <= SOLVER_TOL * scale:
-            # one step of iterative refinement recovers the lost digits
-            x = x + self._lu.solve(r)
-            r = rhs - self.system @ x
-            scale = np.linalg.norm(rhs) + self._system_norm * np.linalg.norm(x)
-        res = np.linalg.norm(r)
-        if not res <= 1e-8 * scale:
-            raise SingularSystemError(
-                f"solve did not reach tolerance (relative residual {res / scale:.3e})",
-                self.condition_estimate,
-            )
-        return x
+        return self._factor.solve(rhs)
 
     def L(self, V: np.ndarray) -> sp.csr_matrix:
         """The tensor L(V) at this operator's tau: L(V) @ dA = K_tau(dA) @ V."""
@@ -163,8 +169,7 @@ def riesz_dual_norm(mesh: Mesh, r: np.ndarray) -> float:
     W's LU is factorized once per mesh and cached on it.
     """
     r = np.asarray(r, dtype=float)
-    lu = mesh.cached("s_factor", lambda m: _factorize(assembly.shared_s_matrix(m)))
-    q = lu.solve(r)
+    q = mesh.cached("s_factor", lambda m: _Factor(assembly.shared_s_matrix(m))).solve(r)
     return float(np.sqrt(max(r @ q, 0.0)))
 
 
@@ -181,8 +186,7 @@ def solve_neumann_mean_zero(mesh: Mesh, K: sp.csr_matrix, P: np.ndarray) -> np.n
     c = assembly.shared_mass(mesh) @ np.ones(mesh.node_count)
     P = np.asarray(P, dtype=float)
     rhs = P - c * (P.sum() / c.sum())
-    lu = _factorize(K[1:, 1:])
     u = np.zeros(mesh.node_count)
-    u[1:] = lu.solve(rhs[1:])
+    u[1:] = _Factor(K[1:, 1:]).solve(rhs[1:])
     return u - (c @ u) / c.sum()
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import sympy as sym
 
-from ellreg import experiments as exp
+from ellreg import assembly, experiments as exp
 from ellreg import forward
 from ellreg.cli import main
-from ellreg.forward import SingularSystemError
-from ellreg.mesh import build_unit_square
-from ellreg.optimizer import IdentificationProblem
+from ellreg.forward import ScheduleEntry, SingularSystemError
+from ellreg.mesh import build_unit_square, interpolate
+from ellreg.optimizer import IdentificationProblem, minimize
 from ellreg.setvalued import ContingentProbe
 
 
@@ -60,6 +61,32 @@ def test_run_cell_produces_small_errors():
 def test_small_mols_cells_reach_grad_tol(n):
     res, _, _ = exp.run_cell(exp.ExperimentConfig(objective="mols"), n)
     assert res.termination == "grad_tol"
+
+
+@pytest.mark.parametrize("objective", ["ols", "mols"])
+def test_varying_coefficient_error_falls_with_h(objective):
+    # a non-constant truth a_bar = 1 + x1*x2/2, inside the box, with the same
+    # u_bar: its normal derivative vanishes on all four sides, so the zero-flux
+    # condition holds for every a. No fixed bound on the error until the
+    # reduced Newton step (ROADMAP item 1) lands
+    x, y = sym.symbols("x y")
+    a_bar = 1 + x * y / 2
+    u_bar = sym.cos(sym.pi * x**2) * sym.cos(2 * sym.pi * y)
+    f = -(sym.diff(a_bar * sym.diff(u_bar, x), x) + sym.diff(a_bar * sym.diff(u_bar, y), y))
+    a_fn, f_fn = (sym.lambdify((x, y), e, "numpy") for e in (a_bar, f))
+    entry = ScheduleEntry(eps=1e-4, tau=0.0, nu=0.0, delta=0.0, kappa=1e-4)
+    errors = []
+    for n in (20, 40):
+        mesh = build_unit_square(n)
+        problem = IdentificationProblem(mesh=mesh, P_exact=assembly.assemble_load(mesh, f_fn),
+                                        Z_exact=interpolate(mesh, exp.u_exact))
+        res = minimize(problem, (entry,), objective, np.full(mesh.node_count, 5.05))
+        assert res.termination == "grad_tol"
+        A_true = interpolate(mesh, a_fn)
+        M = assembly.shared_mass(mesh)
+        err = res.A - A_true
+        errors.append(np.sqrt((err @ (M @ err)) / (A_true @ (M @ A_true))))
+    assert errors[1] < errors[0]
 
 
 def test_run_table_mesh_refinement(tmp_path):

@@ -40,18 +40,22 @@ def test_solve_refines_then_raises(prob):
     A = rng.uniform(0.1, 10.0, size=prob.mesh.node_count)
     op = RegularizedForwardOperator(prob.mesh, A, eps=1e-3)
     V = op.solve(prob.P)
-    op._lu = forward._factorize((1.0 + 1e-6) * op.system)
+    op._factor.lu = forward._Factor((1.0 + 1e-6) * op.system).lu
     assert np.linalg.norm(op.solve(prob.P) - V) <= 1e-10 * np.linalg.norm(V)
-    op._lu = forward._factorize(2.0 * op.system)
+    op._factor.lu = forward._Factor(2.0 * op.system).lu
     with pytest.raises(SingularSystemError, match="did not reach tolerance") as exc:
         op.solve(prob.P)
     assert exc.value.condition_estimate == op.condition_estimate
-    # a NaN residual fails both tests rather than passing the solution through
-    op._lu = forward._factorize(op.system)
+    # a NaN residual fails both tests rather than passing the solution through,
+    # in the operator's solve and in W's and the pinned K's alike
+    op._factor.lu = forward._Factor(op.system).lu
     P_nan = prob.P.copy()
     P_nan[3] = np.nan
-    with pytest.raises(SingularSystemError, match="did not reach tolerance"):
-        op.solve(P_nan)
+    K = assembly.assemble_stiffness(prob.mesh, A)
+    for solve in (op.solve, lambda r: riesz_dual_norm(prob.mesh, r),
+                  lambda r: solve_neumann_mean_zero(prob.mesh, K, r)):
+        with pytest.raises(SingularSystemError, match="did not reach tolerance"):
+            solve(P_nan)
 
 
 def test_system_spd_for_positive_eps(prob):
@@ -98,7 +102,7 @@ def test_constant_mode_eigenvalue_is_rayleigh_quotient(prob, tau):
 
 
 def _pivot_ratio(op):
-    udiag = np.abs(op._lu.U.diagonal())
+    udiag = np.abs(op._factor.lu.U.diagonal())
     return udiag.min() / udiag.max()
 
 
