@@ -80,6 +80,11 @@ class SingularSystemError(RuntimeError):
         super().__init__(message)
         self.condition_estimate = condition_estimate
 
+    def __reduce__(self):
+        # the default rebuilds from ``args`` (the message) alone; a worker
+        # process's error reaches its parent by pickle
+        return type(self), (self.args[0], self.condition_estimate)
+
 
 @dataclass(frozen=True)
 class ScheduleEntry:
@@ -163,13 +168,15 @@ class RegularizedForwardOperator:
         return assembly.assemble_L(self.mesh, V, self.tau)
 
 
-def riesz_dual_norm(mesh: Mesh, r: np.ndarray) -> float:
-    """Discrete dual norm sqrt(r^T W^-1 r) via the W-inner-product Riesz map.
+def riesz_factor(mesh: Mesh) -> _Factor:
+    """W's LU, the Riesz map of ``riesz_dual_norm``, factorized once per mesh and cached on it."""
+    return mesh.cached("s_factor", lambda m: _Factor(assembly.shared_s_matrix(m)))
 
-    W's LU is factorized once per mesh and cached on it.
-    """
+
+def riesz_dual_norm(mesh: Mesh, r: np.ndarray) -> float:
+    """Discrete dual norm sqrt(r^T W^-1 r) via the W-inner-product Riesz map."""
     r = np.asarray(r, dtype=float)
-    q = mesh.cached("s_factor", lambda m: _Factor(assembly.shared_s_matrix(m))).solve(r)
+    q = riesz_factor(mesh).solve(r)
     return float(np.sqrt(max(r @ q, 0.0)))
 
 

@@ -14,8 +14,9 @@ residual is measured whole.
 from __future__ import annotations
 
 import csv
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -24,18 +25,36 @@ from . import assembly
 from .forward import (
     RegularizedForwardOperator,
     riesz_dual_norm,
+    riesz_factor,
     solve_neumann_mean_zero,
 )
 from .mesh import Mesh
 
 
 def _worker_count(entries: int) -> int:
-    """The CPUs this process may run on, at most one per entry."""
+    """The CPUs this process may run on, at most one per entry; 1 where
+    processes cannot be forked."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     return min(cpus, entries)
+
+
+_probe = None  # set only in a forked worker: the probe whose entries it computes
+
+
+def _adopt(probe) -> None:
+    """Pool initializer. A forked worker inherits ``probe`` as it is, never
+    pickled: its mesh holds a lock, which cannot be."""
+    global _probe
+    _probe = probe
+
+
+def _entry_record(n: int) -> ProbeRecord:
+    return _probe._record(n, _probe.schedule[n])
 
 
 @dataclass
@@ -98,17 +117,29 @@ class ContingentProbe:
         """One ``ProbeRecord`` per schedule entry, in schedule order.
 
         The entries are independent regularized problems, so ``_record``
-        runs them on a thread pool of ``min(cpus, len(schedule))`` workers,
+        runs them on ``min(cpus, len(schedule))`` forked worker processes,
         ``cpus`` the CPUs this process may run on (``os.sched_getaffinity``,
-        else ``os.cpu_count()``). Each entry does the same arithmetic on any
-        worker, so the records do not depend on the worker count. If an
-        entry raises, ``run`` raises its error and ``records`` stays empty.
+        else ``os.cpu_count()``). The workers inherit the probe and W's
+        Riesz-map factor by fork; only an entry's index goes out and its
+        record comes back. With one worker, or where processes cannot be
+        forked, the entries run here, one after another. Each entry does the
+        same arithmetic in any process, so the records do not depend on the
+        worker count. If an entry raises, ``run`` raises its error and
+        ``records`` stays empty. A fork copies only the calling thread, so
+        no other thread may be using the probe's mesh while ``run`` starts
+        its workers: a mesh lock held there would stay held in every worker.
         """
         self.records = []
-        with ThreadPoolExecutor(_worker_count(len(self.schedule))) as pool:
-            self.records = list(pool.map(self._record, range(len(self.schedule)),
-                                         self.schedule))
-        return self.records
+        workers = _worker_count(len(self.schedule))
+        if workers == 1:
+            records = [self._record(n, entry) for n, entry in enumerate(self.schedule)]
+        else:
+            riesz_factor(self.mesh)  # built once here, not once per worker
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_adopt, initargs=(self,)) as pool:
+                records = list(pool.map(_entry_record, range(len(self.schedule))))
+        self.records = records
+        return records
 
     def _record(self, n: int, entry) -> ProbeRecord:
         """Solve V, dV and d2V at schedule entry ``n``, one solve each; keep their residuals and norms."""

@@ -1,3 +1,6 @@
+import os
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -83,6 +86,17 @@ def test_singular_at_eps_zero(prob):
         solve_neumann_mean_zero(mesh, assembly.assemble_stiffness(mesh, half), prob.P)
 
 
+def test_singular_error_survives_pickle(prob):
+    # a probe entry's error reaches the parent process by pickle
+    with pytest.raises(SingularSystemError) as exc:
+        RegularizedForwardOperator(prob.mesh, np.ones(prob.mesh.node_count), eps=0.0)
+    err = pickle.loads(pickle.dumps(exc.value))
+    assert type(err) is SingularSystemError
+    assert str(err) == str(exc.value)
+    assert err.condition_estimate == exc.value.condition_estimate
+    assert err.args == exc.value.args
+
+
 @pytest.mark.parametrize("tau", [0.0, 1e-4, 1e-1])
 def test_constant_mode_eigenvalue_is_rayleigh_quotient(prob, tau):
     # lam_c = eps + tau*int(a)/|Omega| is the quotient 1'G1 / 1'W1, which is
@@ -129,6 +143,8 @@ def test_every_factorization_uses_one_recipe(monkeypatch):
     recipe = {"permc_spec": "MMD_AT_PLUS_A", "panel_size": forward.LU_PANEL_SIZE,
               "options": {"SymmetricMode": True}}
     assert forward.LU_PANEL_SIZE == 2
+    # one CPU: the probe's entries run in this process, where splu is recorded
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     prob = ManufacturedProblem.build(6)
     mesh = prob.mesh
     W = assembly.shared_s_matrix(mesh)

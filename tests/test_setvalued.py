@@ -1,6 +1,6 @@
 import csv
+import multiprocessing
 import os
-import sys
 import threading
 
 import numpy as np
@@ -169,6 +169,14 @@ def test_csv_columns(probe, tmp_path):
     assert float(rows[1][1]) == probe.records[0].eps
 
 
+def _cpus(monkeypatch, count):
+    """Let the probe see ``count`` CPUs. On one, its entries run in this
+    process, where the tests' monkeypatched counters see them; on more,
+    they run on forked workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
 def _cases(mesh, key):
     """(dA, dA2, coercive) for the four probe kinds: coercive or not, dA2 given or not."""
     rng = np.random.Generator(np.random.Philox(key=key))
@@ -180,6 +188,7 @@ def test_fixed_operands_assembled_once(monkeypatch):
     # A_bar, dA and dA2 are fixed per probe: each has its stiffness and
     # weighted mass built once, and no entry assembles a tensor L(V) or a
     # K_tau(A_bar) of its own
+    _cpus(monkeypatch, 1)
     prob = ManufacturedProblem.build(6)
     assembly.shared_s_matrix(prob.mesh)
     names = ("assemble_L", "assemble_stiffness", "assemble_weighted_mass",
@@ -207,6 +216,7 @@ def test_fixed_operands_assembled_once(monkeypatch):
 def test_three_solves_per_entry(monkeypatch):
     # the state V and its derivatives dV, d2V take one solve each, for every
     # probe kind; the coercive probe adds its base solve
+    _cpus(monkeypatch, 1)
     prob = ManufacturedProblem.build(6)
     solves = []
     solve = RegularizedForwardOperator.solve
@@ -265,6 +275,7 @@ def test_records_match_tensor_oracle():
 
 
 def test_s_matrix_factorized_once_per_mesh(monkeypatch):
+    _cpus(monkeypatch, 1)
     prob = ManufacturedProblem.build(6)
     W = assembly.shared_s_matrix(prob.mesh)
     factorized = []
@@ -286,25 +297,20 @@ def test_s_matrix_factorized_once_per_mesh(monkeypatch):
 
 
 def test_run_matches_entries_one_at_a_time(monkeypatch):
-    # the pool has more workers than cores and switches threads often; each
-    # record still equals, field for field, the one its entry gives alone
+    # one forked worker per entry, more than there are cores; each record
+    # still equals, field for field, the one its entry gives in this process
     prob = ManufacturedProblem.build(12)
     sched = default_schedule()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(len(sched))),
-                        raising=False)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for dA, dA2, coercive in _cases(prob.mesh, 36):
-            p = ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P, dA=dA,
-                                dA2=dA2, schedule=sched, coercive=coercive)
-            records = p.run()
-            assert records == [p._record(n, entry) for n, entry in enumerate(sched)]
-    finally:
-        sys.setswitchinterval(interval)
+    _cpus(monkeypatch, len(sched))
+    for dA, dA2, coercive in _cases(prob.mesh, 36):
+        p = ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P, dA=dA,
+                            dA2=dA2, schedule=sched, coercive=coercive)
+        records = p.run()
+        assert records == [p._record(n, entry) for n, entry in enumerate(sched)]
 
 
-def test_singular_entry_fails_the_run_and_leaves_no_records():
+def test_singular_entry_fails_the_run_and_leaves_no_records(monkeypatch):
+    # on a forked worker per entry, the singular entry's error reaches this process
     prob = ManufacturedProblem.build(6)
     with pytest.raises(SingularSystemError) as direct:
         RegularizedForwardOperator(prob.mesh, prob.A_true, eps=0.0, tau=0.0)
@@ -312,25 +318,30 @@ def test_singular_entry_fails_the_run_and_leaves_no_records():
     sched = default_schedule(n_entries=3) + (singular,) + default_schedule(n_entries=2)
     p = ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P,
                         dA=np.ones(prob.mesh.node_count), schedule=sched)
+    _cpus(monkeypatch, len(sched))
     threads = threading.active_count()
     with pytest.raises(SingularSystemError) as raised:
         p.run()
     assert type(raised.value) is SingularSystemError
+    assert str(raised.value) == str(direct.value)
     assert raised.value.condition_estimate == direct.value.condition_estimate
     assert p.records == []
     assert threading.active_count() == threads
+    assert multiprocessing.active_children() == []
 
 
-def test_run_leaves_no_worker_thread():
+def test_run_leaves_no_worker_thread(monkeypatch):
     prob = ManufacturedProblem.build(4)
     dA = np.ones(prob.mesh.node_count)
     with pytest.raises(ValueError, match="schedule must be nonempty"):
         ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P, dA=dA, schedule=())
     threads = threading.active_count()
     sched = default_schedule(n_entries=3)
+    _cpus(monkeypatch, len(sched))
     p = ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P, dA=dA, schedule=sched)
     assert len(p.run()) == len(sched)
     assert threading.active_count() == threads
+    assert multiprocessing.active_children() == []
 
 
 def test_worker_count_without_affinity(monkeypatch):
@@ -340,4 +351,8 @@ def test_worker_count_without_affinity(monkeypatch):
     assert _worker_count(8) == 3
     assert _worker_count(2) == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count(8) == 1
+    # where processes cannot be forked, one worker: the entries run in-process
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     assert _worker_count(8) == 1
