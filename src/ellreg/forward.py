@@ -38,9 +38,10 @@ class _Factor:
     """Sparse LU by the package's one recipe, with its residual-checked solve.
 
     Minimum degree on A^T + A with symmetric-mode (diagonal-first) pivoting,
-    as the symmetric systems [K_tau + eps*W], pinned K and W want. Threads may
-    share a factor, as a solve keeps no state. A failed solve reports norm/lam_c
-    as its condition estimate, NaN where the constant-mode eigenvalue is unknown.
+    as the symmetric systems [K_tau + eps*W], pinned K and W want. Forked
+    workers share W's factor, as a solve keeps no state. A failed solve reports
+    norm/lam_c as its condition estimate, NaN where the constant-mode eigenvalue
+    is unknown.
     """
 
     def __init__(self, matrix: sp.spmatrix, lam_c: float = np.nan):

@@ -48,7 +48,7 @@ _probe = None  # set only in a forked worker: the probe whose entries it compute
 
 def _adopt(probe) -> None:
     """Pool initializer. A forked worker inherits ``probe`` as it is, never
-    pickled: its mesh holds a lock, which cannot be."""
+    pickled: its mesh caches W's SuperLU factor, which cannot be."""
     global _probe
     _probe = probe
 
@@ -125,9 +125,7 @@ class ContingentProbe:
         forked, the entries run here, one after another. Each entry does the
         same arithmetic in any process, so the records do not depend on the
         worker count. If an entry raises, ``run`` raises its error and
-        ``records`` stays empty. A fork copies only the calling thread, so
-        no other thread may be using the probe's mesh while ``run`` starts
-        its workers: a mesh lock held there would stay held in every worker.
+        ``records`` stays empty.
         """
         self.records = []
         workers = _worker_count(len(self.schedule))
@@ -184,6 +182,8 @@ class ContingentProbe:
 
     def boundedness_report(self) -> dict:
         """Sup of sensitivity norms plus the fitted state-gap rate in eps, after ``run``."""
+        if not self.records:
+            raise ValueError("no records: call run() first")
         sens = np.array([r.sens_norm for r in self.records])
         gaps = np.array([r.state_gap for r in self.records])
         eps = np.array([r.eps for r in self.records])

@@ -1,9 +1,9 @@
 import threading
-import time
 
 import numpy as np
 import pytest
 
+from ellreg.forward import riesz_factor
 from ellreg.mesh import Mesh, build_unit_square, interpolate
 
 
@@ -118,27 +118,53 @@ def test_mesh_compares_and_hashes_by_identity():
     assert {m: 0}[m] == 0
 
 
-def test_cached_builds_once_under_threads():
+def test_cached_builder_reads_other_keys_and_builds_each_once():
     mesh = build_unit_square(2)
     calls = []
 
-    def slow_builder(m):
-        calls.append(m)
-        time.sleep(0.05)
+    def inner(m):
+        calls.append("inner")
         return np.arange(3.0)
 
-    start = threading.Barrier(4)
+    def outer(m):
+        calls.append("outer")
+        return m.cached("inner", inner) * 2.0
+
+    got = mesh.cached("outer", outer)
+    assert mesh.cached("outer", outer) is got
+    assert calls == ["outer", "inner"]
+    assert got.tolist() == [0.0, 2.0, 4.0]
+    for value in (got, mesh.cached("inner", inner)):
+        assert not value.flags.writeable
+        with pytest.raises(ValueError):
+            value[0] = 1.0
+    assert calls == ["outer", "inner"]
+
+
+def test_pending_build_does_not_block_another_key():
+    # a build left waiting on one key in a helper thread; W's factor, built
+    # from other keys, is still served at once
+    mesh = build_unit_square(4)
+    entered, release = threading.Event(), threading.Event()
+
+    def pending(m):
+        entered.set()
+        release.wait(timeout=30)
+        return np.zeros(1)
+
     got = []
-
-    def ask():
-        start.wait(timeout=10)
-        got.append(mesh.cached("k", slow_builder))
-
-    workers = [threading.Thread(target=ask) for _ in range(4)]
-    for t in workers:
-        t.start()
-    for t in workers:
-        t.join(timeout=10)
-        assert not t.is_alive()
-    assert calls == [mesh]
-    assert len(got) == 4 and all(v is got[0] for v in got)
+    helper = threading.Thread(target=mesh.cached, args=("pending", pending))
+    asker = threading.Thread(target=lambda: got.append(riesz_factor(mesh)))
+    helper.start()
+    try:
+        assert entered.wait(timeout=10)
+        asker.start()
+        asker.join(timeout=10)
+        assert got, "riesz_factor waited for another key's build"
+    finally:
+        release.set()
+        helper.join(timeout=10)
+        if asker.ident is not None:
+            asker.join(timeout=10)
+    assert not helper.is_alive() and not asker.is_alive()
+    assert got[0] is riesz_factor(mesh)

@@ -117,6 +117,14 @@ def test_boundedness_report_flags_spike_and_skips_zero_gaps():
     assert np.isnan(rep["state_gap_rate"])  # no positive gap to fit a rate to
 
 
+def test_boundedness_report_needs_run():
+    prob = ManufacturedProblem.build(4)
+    p = ContingentProbe(mesh=prob.mesh, A_bar=prob.A_true, P=prob.P,
+                        dA=np.ones(prob.mesh.node_count), schedule=default_schedule())
+    with pytest.raises(ValueError, match=r"call run\(\) first"):
+        p.boundedness_report()
+
+
 def test_state_gap_decreases(probe):
     gaps = [r.state_gap for r in probe.records]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -326,6 +334,8 @@ def test_singular_entry_fails_the_run_and_leaves_no_records(monkeypatch):
     assert str(raised.value) == str(direct.value)
     assert raised.value.condition_estimate == direct.value.condition_estimate
     assert p.records == []
+    with pytest.raises(ValueError, match=r"call run\(\) first"):
+        p.boundedness_report()
     assert threading.active_count() == threads
     assert multiprocessing.active_children() == []
 
